@@ -15,7 +15,8 @@ means
     The vertex-based mean operator and the standard, self-weighting,
     and randomly weighted mean families.
 estimators
-    Cramer's-rule fitting, rotation sweeps, and residual reports.
+    Cramer's-rule fitting on a shared lattice, rotation sweeps, and
+    residual reports.
 dataio
     CSV ingestion and report serialization (text and JSON).
 cli
@@ -28,7 +29,7 @@ from .errors import (ColumnNotFoundError, CsvFormatError, EmptyDataError,
                      FormulaError, LatregError, MissingVertexError,
                      SingularSystemError, ZeroWeightError)
 from .estimators import (FitResult, ModelSpec, RotationResult, fit,
-                         fit_all_rotations, residual_report)
+                         fit_all_rotations, residual_report, solve)
 from .formula import parse_model
 from .lattice import (Dataset, DeterminantKind, Direction, Lattice, UNITY,
                       build_lattice, det2, det3_general, form_determinant,
@@ -74,6 +75,7 @@ __all__ = [
     "scaled_sigma",
     "self_weighting_mean",
     "simulate_convergence",
+    "solve",
     "standard_mean",
     "weighted_mean",
     "write_csv",

@@ -17,9 +17,9 @@ from .dataio import ColumnSelection, read_csv, render_json, write_report
 from .errors import (ColumnNotFoundError, CsvFormatError, EmptyDataError,
                      FormulaError, LatregError, SingularSystemError,
                      ZeroWeightError)
-from .estimators import RotationResult, fit, fit_all_rotations
+from .estimators import RotationResult, fit_all_rotations, solve
 from .formula import parse_model
-from .lattice import Dataset, Direction, UNITY, measure_catalog
+from .lattice import Dataset, Direction, UNITY, build_lattice, measure_catalog
 from .means import (self_weighting_mean, simulate_convergence, standard_mean,
                     weighted_mean)
 
@@ -182,10 +182,12 @@ def _cmd_fit(args) -> int:
     if not columns:
         raise ValueError("model references no data columns")
     data = _load(args, columns)
-    result = fit(data, spec)
     plain = [c for c in columns
              if any(d.factors == (c,) for d in (spec.response, *spec.regressors))]
-    measures = measure_catalog(data, plain) if len(plain) in (2, 3) else {}
+    catalog = [Direction(c) for c in plain] if len(plain) in (2, 3) else []
+    lat = build_lattice(data, [UNITY, *spec.regressors, spec.response, *catalog])
+    result = solve(lat, spec)
+    measures = measure_catalog(lat, plain) if catalog else {}
     rotation = RotationResult(response=spec.response, fit=result)
     _emit(write_report([rotation], measures, format=args.format))
     return EXIT_OK
@@ -195,8 +197,9 @@ def _cmd_rotate(args) -> int:
     columns = _split_columns(args.columns, 2, 3)
     data = _load(args, columns)
     directions = [UNITY] + [Direction(c) for c in columns]
-    rotations = fit_all_rotations(data, directions)
-    measures = measure_catalog(data, columns)
+    lat = build_lattice(data, directions)
+    rotations = fit_all_rotations(lat, directions)
+    measures = measure_catalog(lat, columns)
     _emit(write_report(rotations, measures, format=args.format))
     return EXIT_OK if any(r.ok for r in rotations) else EXIT_SINGULAR
 

@@ -4,7 +4,9 @@ CSV files use a comma delimiter, optional quoting, UTF-8 text, and a
 mandatory header row; columns are selected by header name only, never
 by position, so a rotation report can never silently swap axes.  Values
 must parse as finite decimals with a ``.`` separator (scientific
-notation accepted); missing or malformed cells are errors, not imputed.
+notation accepted, surrounding whitespace ignored); missing or malformed
+cells, digit-group underscores (``1_0``) and non-ASCII digits are
+errors, not imputed.
 
 Reports serialize to JSON (stable key order, shortest round-trip
 decimals, so ``parse(write(r))`` reproduces every numeric bit-exactly)
@@ -86,9 +88,9 @@ def read_csv(source: str | Path | IO[str], selection: ColumnSelection) -> Datase
     Raises
     ------
     CsvFormatError
-        On a missing header name, a ragged row, a non-numeric or
-        non-finite cell (reported with its data row and column), or an
-        empty data section.
+        On a missing header name, a ragged row, a cell that is not a
+        finite ASCII decimal (reported with its data row and column), or
+        an empty data section.
     """
     if isinstance(source, (str, Path)):
         # utf-8-sig: tolerate a BOM without corrupting the first header name
@@ -126,7 +128,9 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
                 value = float(cell)
             except ValueError:
                 value = math.nan
-            if not math.isfinite(value):
+            # float() also reads "1_0" as 10 and non-ASCII digits as
+            # decimals; neither is a finite decimal under the contract.
+            if not math.isfinite(value) or "_" in cell or not cell.isascii():
                 raise CsvFormatError(
                     f"row {row_number}, column {name!r}: "
                     f"value {cell!r} is not a finite number",

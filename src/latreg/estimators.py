@@ -16,6 +16,18 @@ the covariance determinant n sum(xy) - sum(x) sum(y) (column
 replacement in the second column), which is the textbook least squares
 slope numerator; the same determinant with its unity column reversed is
 its exact negation and is not what Cramer's rule produces.
+
+Coefficients and determinants read only vertices, so one lattice
+serves a whole request: build it once over all the directions
+involved and pass it to :func:`solve`, :func:`fit_all_rotations` and
+:func:`latreg.lattice.measure_catalog`::
+
+    lat = build_lattice(data, [UNITY, x, y])
+    line = solve(lat, ModelSpec(response=y, regressors=(UNITY, x)))
+    rotations = fit_all_rotations(lat, [UNITY, x, y])
+    catalog = measure_catalog(lat, ["x", "y"])
+
+:func:`fit` is the one-model shorthand ``solve(build_lattice(...), spec)``.
 """
 
 from __future__ import annotations
@@ -27,12 +39,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LatregError, SingularSystemError
-from .lattice import Dataset, Direction, Lattice, UNITY, build_lattice, det2, det3_general
+from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice, det2,
+                      det3_general, lattice_over)
 
 __all__ = [
     "ModelSpec",
     "FitResult",
     "RotationResult",
+    "solve",
     "fit",
     "fit_all_rotations",
     "residual_report",
@@ -96,10 +110,14 @@ class FitResult:
 
     def predict(self, data: Dataset) -> np.ndarray:
         """Fitted values of the response direction on ``data``."""
-        out = np.zeros(data.n)
-        for c, reg in zip(self.coefficients, self.spec.regressors):
-            out = out + c * data.evaluate(reg)
-        return out
+        return _predict(self.coefficients, self.spec.regressors, data)
+
+
+def _predict(coefficients, regressors, data: Dataset) -> np.ndarray:
+    out = np.zeros(data.n)
+    for c, reg in zip(coefficients, regressors):
+        out = out + c * data.evaluate(reg)
+    return out
 
 
 def _system(lat: Lattice, spec: ModelSpec):
@@ -144,13 +162,14 @@ def _consistent(gram, rhs, coeffs) -> bool:
     return True
 
 
-def fit(data: Dataset, spec: ModelSpec) -> FitResult:
-    """Fit a model by Cramer's rule over the vertex lattice.
+def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
+    """Fit a model by Cramer's rule over an existing vertex lattice.
 
     Parameters
     ----------
-    data : Dataset
-        Observations providing every column the spec's directions name.
+    lat : Lattice
+        Vertices over (at least) the spec's response and regressors;
+        residuals and SSE are taken over ``lat.source``.
     spec : ModelSpec
         Response and 1 to 3 regressor directions.
 
@@ -167,15 +186,9 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     SingularSystemError
         When the determinant is below the threshold and no consistent
         solution exists (exactly collinear regressors, for instance).
-    ColumnNotFoundError
-        When a direction names a missing column.
+    MissingVertexError
+        When the lattice lacks one of the spec's directions.
     """
-    directions = [UNITY]
-    for d in (*spec.regressors, spec.response):
-        if d not in directions:
-            directions.append(d)
-    lat = build_lattice(data, directions)
-
     gram, rhs, den, nums = _system(lat, spec)
     threshold = SINGULAR_RTOL * math.prod(math.hypot(*row) for row in gram)
 
@@ -190,22 +203,32 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         coeffs = tuple(n / den for n in nums)
         flag = "well-posed"
 
-    fitted = np.zeros(data.n)
-    for c, reg in zip(coeffs, spec.regressors):
-        fitted = fitted + c * data.evaluate(reg)
+    data = lat.source
+    fitted = _predict(coeffs, spec.regressors, data)
     residuals = data.evaluate(spec.response) - fitted
     residuals.flags.writeable = False
-    sse = math.fsum(r * r for r in residuals)
 
     return FitResult(
         spec=spec,
         coefficients=coeffs,
         denominator=den,
         numerators=tuple(nums),
-        sse=sse,
+        sse=math.fsum(residuals * residuals),
         residuals=residuals,
         condition_flag=flag,
     )
+
+
+def fit(data: Dataset, spec: ModelSpec) -> FitResult:
+    """Fit one model: :func:`solve` on a lattice built over unity and the
+    spec's directions.
+
+    Raises what :func:`solve` raises, and
+    :class:`~latreg.errors.ColumnNotFoundError` when a direction names a
+    missing column.
+    """
+    return solve(build_lattice(data, [UNITY, *spec.regressors, spec.response]),
+                 spec)
 
 
 @dataclass(frozen=True)
@@ -221,7 +244,7 @@ class RotationResult:
         return self.fit is not None
 
 
-def fit_all_rotations(data: Dataset,
+def fit_all_rotations(source: Dataset | Lattice,
                       directions: Sequence[Direction]) -> list[RotationResult]:
     """Fit every rotation of a direction set.
 
@@ -229,9 +252,13 @@ def fit_all_rotations(data: Dataset,
     as regressors, keeping the given order.  Rotations are emitted in
     the given direction order with the unity rotation last.  A rotation
     that fails (singular system) is carried in place with its error
-    rather than aborting the sweep.
+    rather than aborting the sweep; any other error aborts it.
 
     ``directions`` must hold 3 or 4 distinct directions including unity.
+    ``source`` is a dataset, over which one lattice is built, or a
+    lattice that already caches every direction
+    (:class:`~latreg.errors.MissingVertexError` otherwise); every
+    rotation is solved on that one lattice.
     """
     dirs = list(directions)
     if len(dirs) not in (3, 4):
@@ -241,14 +268,15 @@ def fit_all_rotations(data: Dataset,
     if UNITY not in dirs:
         raise ValueError("rotation directions must include unity")
 
+    lat = lattice_over(source, dirs)
     responses = [d for d in dirs if not d.is_unity] + [UNITY]
     results = []
     for resp in responses:
         regressors = tuple(d for d in dirs if d != resp)
         spec = ModelSpec(response=resp, regressors=regressors)
         try:
-            results.append(RotationResult(response=resp, fit=fit(data, spec)))
-        except LatregError as err:
+            results.append(RotationResult(response=resp, fit=solve(lat, spec)))
+        except SingularSystemError as err:
             results.append(RotationResult(response=resp, error=err))
     return results
 
@@ -266,10 +294,10 @@ def residual_report(fit_result: FitResult, data: Dataset) -> dict:
     residuals = data.evaluate(fit_result.spec.response) - fit_result.predict(data)
     report: dict = {
         "model": fit_result.spec.label,
-        "residuals": [float(r) for r in residuals],
-        "sse": math.fsum(r * r for r in residuals),
+        "residuals": residuals.tolist(),
+        "sse": math.fsum(residuals * residuals),
     }
     if fit_result.spec.is_non_response:
-        preds = fit_result.predict(data)
-        report["system_error"] = math.fsum((1.0 - p) ** 2 for p in preds)
+        # The response is the constant 1, so each residual is 1 - prediction.
+        report["system_error"] = report["sse"]
     return report

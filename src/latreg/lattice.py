@@ -152,12 +152,10 @@ class Lattice:
     """Cached pairwise vertex sums V(a, b) over a dataset.
 
     Built eagerly by :func:`build_lattice`; immutable afterwards.  Each
-    vertex combines exactly two directions (``order`` is 2), though the
-    directions themselves may be products, so interaction terms induce
-    higher-order sums.
+    vertex combines exactly two directions, though the directions
+    themselves may be products, so interaction terms induce higher-order
+    sums.
     """
-
-    order = 2
 
     def __init__(self, source: Dataset, directions: Sequence[Direction],
                  vertices: Mapping[tuple, float]):
@@ -217,6 +215,29 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
         for b in dirs[i:]:
             vertices[_vertex_key(a, b)] = math.fsum(values[a] * values[b])
     return Lattice(data, dirs, vertices)
+
+
+def lattice_over(source: Dataset | Lattice,
+                 directions: Sequence[Direction]) -> Lattice:
+    """A lattice caching every one of ``directions``.
+
+    A :class:`Lattice` is returned as it is, so that callers sharing one
+    lattice share its single data pass; a :class:`Dataset` gets a fresh
+    :func:`build_lattice` over ``directions``.
+
+    Raises
+    ------
+    MissingVertexError
+        If ``source`` is a lattice built without one of ``directions``.
+    """
+    if not isinstance(source, Lattice):
+        return build_lattice(source, directions)
+    missing = [d.label for d in directions if d not in source.directions]
+    if missing:
+        raise MissingVertexError(
+            "lattice has no direction(s) {}; rebuild it with every "
+            "direction the request needs".format(", ".join(missing)))
+    return source
 
 
 def join(lat: Lattice, pairs: Sequence[tuple[Direction, Direction]]) -> float:
@@ -353,8 +374,13 @@ def _subscript_key(prefix: str, dirs: Iterable[Direction]) -> str:
     return prefix + "".join(d.label for d in dirs)
 
 
-def measure_catalog(data: Dataset, columns: Sequence[str]) -> dict[str, float]:
+def measure_catalog(source: Dataset | Lattice,
+                    columns: Sequence[str]) -> dict[str, float]:
     """All vertices and named determinants for two or three columns.
+
+    ``source`` is a dataset, over which one lattice is built, or a
+    lattice that already caches unity and every column's direction
+    (:class:`MissingVertexError` otherwise).
 
     Returns an ordered mapping whose keys follow the subscript naming of
     the determinant family: ``v_1x`` for vertices, ``delta_11xx`` for
@@ -367,7 +393,7 @@ def measure_catalog(data: Dataset, columns: Sequence[str]) -> dict[str, float]:
     if len(set(columns)) != len(columns):
         raise ValueError("measure catalog columns must be distinct")
     dirs = [Direction(c) for c in columns]
-    lat = build_lattice(data, [UNITY, *dirs])
+    lat = lattice_over(source, [UNITY, *dirs])
 
     out: dict[str, float] = {}
     axes = [UNITY, *dirs]

@@ -6,6 +6,9 @@ import sys
 import jsonschema
 import pytest
 
+import latreg.cli
+import latreg.estimators
+import latreg.lattice
 from latreg import REPORT_SCHEMA
 from latreg.cli import main
 
@@ -181,6 +184,36 @@ class TestRotate:
         by_response = {r["response"]: r for r in payload["rotations"]}
         assert by_response["1"]["flag"] == "singular"
         assert by_response["y"]["flag"] == "well-posed"
+
+
+class TestOneLatticePerRequest:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts build_lattice calls through every module that binds it."""
+        calls = []
+        original = latreg.lattice.build_lattice
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (latreg.lattice, latreg.estimators, latreg.cli):
+            monkeypatch.setattr(module, "build_lattice", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("rotate", "--columns", "x,y"),
+        ("rotate", "--columns", "x,y,z"),
+        ("fit", "--model", "y = 1 + x"),
+        ("fit", "--model", "1 = x + y"),
+        ("fit", "--model", "1 = x + y + x*y"),
+        ("fit", "--model", "1 = x + y + z"),
+        ("measures", "--columns", "x,y,z"),
+    ])
+    def test_single_build(self, capsys, d2_path, builds, argv):
+        code, _, _ = run(capsys, *argv, "--input", d2_path, "--format", "json")
+        assert code == 0
+        assert len(builds) == 1
 
 
 class TestSimulate:

@@ -65,6 +65,19 @@ class TestReadCsv:
         with pytest.raises(CsvFormatError):
             parse("x\ninf\n", ColumnSelection(("x",)))
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "\uff11"])
+    def test_non_decimal_spellings_rejected(self, cell):
+        # float() reads each of these as a number: 10.0, 12.0 and 1.0.
+        with pytest.raises(CsvFormatError) as excinfo:
+            parse(f"x,y\n1,2\n3,{cell}\n", ColumnSelection(("x", "y")))
+        assert excinfo.value.row == 2
+        assert excinfo.value.column == "y"
+
+    def test_surrounding_whitespace_accepted(self):
+        data = parse("x,y\n 2,3 \n", ColumnSelection(("x", "y")))
+        assert data.column("x").tolist() == [2.0]
+        assert data.column("y").tolist() == [3.0]
+
     def test_ragged_row(self):
         with pytest.raises(CsvFormatError) as excinfo:
             parse("x,y\n1,2\n3\n", ColumnSelection(("x", "y")))

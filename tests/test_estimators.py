@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from latreg import (Dataset, DeterminantKind, Direction, ModelSpec,
-                    SingularSystemError, UNITY, build_lattice, fit,
-                    fit_all_rotations, form_determinant, residual_report)
+from latreg import (ColumnNotFoundError, Dataset, DeterminantKind, Direction,
+                    MissingVertexError, ModelSpec, SingularSystemError, UNITY,
+                    build_lattice, fit, fit_all_rotations, form_determinant,
+                    measure_catalog, residual_report, solve)
 
 from conftest import X, Y, Z, random_dataset, replicate
 from oracles import ols_solve
@@ -220,6 +221,10 @@ class TestRotations:
                 assert b.fit.coefficients == pytest.approx(a.fit.coefficients,
                                                            rel=1e-12)
 
+    def test_unknown_column_raises(self, d1):
+        with pytest.raises(ColumnNotFoundError):
+            fit_all_rotations(d1, [UNITY, X, Direction("nope")])
+
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
@@ -234,6 +239,69 @@ class TestRotations:
                 expected = ols_solve(cols, names[rotation.response.label])
                 assert rotation.fit.coefficients == pytest.approx(
                     tuple(expected), rel=1e-9)
+
+
+def assert_same_fit(a, b):
+    """Field-for-field exact equality of two FitResults."""
+    assert a.spec == b.spec
+    assert a.coefficients == b.coefficients
+    assert a.denominator == b.denominator
+    assert a.numerators == b.numerators
+    assert a.sse == b.sse
+    assert np.array_equal(a.residuals, b.residuals)
+    assert a.condition_flag == b.condition_flag
+
+
+SHARED_SPECS = (
+    spec(Y, UNITY, X),
+    spec(UNITY, X, Y),
+    spec(UNITY, X, Y, X * Y),
+    spec(Y, UNITY, X, Z),
+)
+
+
+class TestSharedLattice:
+    def test_solve_matches_fit(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            data = random_dataset(rng, n_columns=3)
+            lat = build_lattice(data, [UNITY, X, Y, Z, X * Y])
+            for model in SHARED_SPECS:
+                result = solve(lat, model)
+                assert_same_fit(result, fit(data, model))
+                assert result.sse == math.fsum(r * r for r in result.residuals)
+
+    def test_rotations_and_catalog_match_dataset(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            n_cols = int(rng.integers(2, 4))
+            data = random_dataset(rng, n_columns=n_cols)
+            dirs = [UNITY] + [Direction(c) for c in data.names]
+            lat = build_lattice(data, dirs)
+            for a, b in zip(fit_all_rotations(lat, dirs),
+                            fit_all_rotations(data, dirs), strict=True):
+                assert a.response == b.response
+                assert_same_fit(a.fit, b.fit)
+            shared = measure_catalog(lat, list(data.names))
+            fresh = measure_catalog(data, list(data.names))
+            assert list(shared.items()) == list(fresh.items())
+
+    def test_singular_rotation_carried_on_shared_lattice(self):
+        data = Dataset({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
+        lat = build_lattice(data, [UNITY, X, Y])
+        by_label = {r.response.label: r
+                    for r in fit_all_rotations(lat, [UNITY, X, Y])}
+        assert by_label["y"].ok
+        assert isinstance(by_label["1"].error, SingularSystemError)
+
+    def test_missing_direction_raises(self, d2):
+        lat = build_lattice(d2, [UNITY, X, Y])
+        with pytest.raises(MissingVertexError):
+            solve(lat, spec(Y, UNITY, Z))
+        with pytest.raises(MissingVertexError):
+            fit_all_rotations(lat, [UNITY, X, Z])
+        with pytest.raises(MissingVertexError):
+            measure_catalog(lat, ["x", "y", "z"])
 
 
 class TestModelProperties:
@@ -295,6 +363,26 @@ class TestResidualReport:
         result = fit(data, spec(Y, UNITY))
         report = residual_report(result, data)
         assert report["sse"] == 0.0
+
+    def test_matches_per_row_sums(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            data = random_dataset(rng, n_columns=3)
+            for model in SHARED_SPECS:
+                result = fit(data, model)
+                report = residual_report(result, data)
+                preds = result.predict(data)
+                residuals = data.evaluate(model.response) - preds
+                assert report["residuals"] == [float(r) for r in residuals]
+                assert report["sse"] == math.fsum(r * r for r in residuals)
+                if model.is_non_response:
+                    # (1 - p) ** 2 goes through pow(), which need not
+                    # round like r * r; the sums agree to a few ulps.
+                    assert report["system_error"] == report["sse"]
+                    assert math.isclose(
+                        report["system_error"],
+                        math.fsum((1.0 - p) ** 2 for p in preds),
+                        rel_tol=4 * 2.0 ** -52)
 
     def test_requires_well_posed(self):
         data = Dataset({"x": [1.0, 1.0], "y": [1.0, 1.0 + 1e-7]})
