@@ -27,7 +27,8 @@ from .dataio import (ColumnSelection, DerivedColumn, REPORT_SCHEMA, read_csv,
                      write_csv, write_report)
 from .errors import (ColumnNotFoundError, CsvFormatError, EmptyDataError,
                      FormulaError, LatregError, MissingVertexError,
-                     SingularSystemError, ZeroWeightError)
+                     NonFiniteResultError, SingularSystemError,
+                     ZeroWeightError)
 from .estimators import (FitResult, ModelSpec, RotationResult, fit,
                          fit_all_rotations, residual_report, solve)
 from .formula import parse_model
@@ -55,6 +56,7 @@ __all__ = [
     "MeanRequest",
     "MissingVertexError",
     "ModelSpec",
+    "NonFiniteResultError",
     "REPORT_SCHEMA",
     "RotationResult",
     "SingularSystemError",

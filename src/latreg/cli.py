@@ -13,10 +13,8 @@ import argparse
 import sys
 from typing import IO
 
-from .dataio import ColumnSelection, read_csv, render_json, write_report
-from .errors import (ColumnNotFoundError, CsvFormatError, EmptyDataError,
-                     FormulaError, LatregError, SingularSystemError,
-                     ZeroWeightError)
+from .dataio import ColumnSelection, read_csv, render, write_report
+from .errors import FormulaError, LatregError, SingularSystemError
 from .estimators import RotationResult, fit_all_rotations, solve
 from .formula import parse_model
 from .lattice import Dataset, Direction, UNITY, build_lattice, measure_catalog
@@ -124,14 +122,7 @@ def _emit(payload_bytes: bytes) -> None:
 def _cmd_measures(args) -> int:
     columns = _split_columns(args.columns, 2, 3)
     data = _load(args, columns)
-    catalog = measure_catalog(data, columns)
-    if args.format == "json":
-        _emit(render_json({"measures": catalog}))
-    else:
-        lines = ["measures:"]
-        lines += [f"  {name} = {repr(float(value))}"
-                  for name, value in catalog.items()]
-        _emit(("\n".join(lines) + "\n").encode("utf-8"))
+    _emit(render({"measures": measure_catalog(data, columns)}, args.format))
     return EXIT_OK
 
 
@@ -147,23 +138,11 @@ def _cmd_means(args) -> int:
                 continue
             random_weighted.setdefault(target, {})[weight] = weighted_mean(
                 data, target, weight)
-    if args.format == "json":
-        _emit(render_json({"means": {
-            "standard": standard,
-            "self_weighting": self_weighting,
-            "randomly_weighted": random_weighted,
-        }}))
-    else:
-        lines = ["means:"]
-        for c in columns:
-            lines.append(f"  standard[{c}] = {repr(standard[c])}")
-        for c in columns:
-            lines.append(f"  self_weighting[{c}] = {repr(self_weighting[c])}")
-        for target, weights in random_weighted.items():
-            for weight, value in weights.items():
-                lines.append(
-                    f"  randomly_weighted[{target}][{weight}] = {repr(value)}")
-        _emit(("\n".join(lines) + "\n").encode("utf-8"))
+    _emit(render({"means": {
+        "standard": standard,
+        "self_weighting": self_weighting,
+        "randomly_weighted": random_weighted,
+    }}, args.format))
     return EXIT_OK
 
 
@@ -207,14 +186,7 @@ def _cmd_rotate(args) -> int:
 def _cmd_simulate(args) -> int:
     stats = simulate_convergence(args.seed, args.n, args.mu, args.sigma,
                                  args.trials)
-    if args.format == "json":
-        _emit(render_json({"simulation": stats}))
-    else:
-        lines = ["simulation:"]
-        for name, value in stats.items():
-            rendered = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"  {name} = {rendered}")
-        _emit(("\n".join(lines) + "\n").encode("utf-8"))
+    _emit(render({"simulation": stats}, args.format))
     return EXIT_OK
 
 
@@ -235,10 +207,6 @@ def main(argv: list[str] | None = None) -> int:
     except SingularSystemError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_SINGULAR
-    except (CsvFormatError, ColumnNotFoundError, EmptyDataError,
-            ZeroWeightError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_DATA
     except LatregError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_DATA

@@ -8,9 +8,10 @@ notation accepted, surrounding whitespace ignored); missing or malformed
 cells, digit-group underscores (``1_0``) and non-ASCII digits are
 errors, not imputed.
 
-Reports serialize to JSON (stable key order, shortest round-trip
+Every report is one payload in the :data:`REPORT_SCHEMA` layout, which
+:func:`render` serializes to JSON (stable key order, shortest round-trip
 decimals, so ``parse(write(r))`` reproduces every numeric bit-exactly)
-or to an aligned text table carrying the same numbers.
+or to text carrying the same numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, NonFiniteResultError
 from .estimators import RotationResult
 from .lattice import Dataset
 
@@ -34,6 +35,7 @@ __all__ = [
     "ColumnSelection",
     "read_csv",
     "write_csv",
+    "render",
     "write_report",
     "REPORT_SCHEMA",
 ]
@@ -259,43 +261,85 @@ def _rotation_entry(rotation: RotationResult) -> dict:
     }
 
 
+def _leaves(value, name: str = ""):
+    """(name, scalar) pairs under a payload value, named like
+    ``randomly_weighted[x][y]``: the first key as it is, each deeper
+    mapping key or list index in brackets."""
+    if isinstance(value, Mapping):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        yield name, value
+        return
+    for key, inner in items:
+        yield from _leaves(inner, f"{name}[{key}]" if name else str(key))
+
+
+_ROTATION_COLUMNS = ("response", "coefficients", "denominator", "numerators",
+                     "sse", "flag")
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ", ".join(repr(v) for v in value)
+    return repr(value)
+
+
 def _format_table(rows: list[list[str]]) -> list[str]:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
             for row in rows]
 
 
-def _render_text(rotations: Sequence[RotationResult],
-                 measures: Mapping[str, float]) -> bytes:
-    rows = [["response", "coefficients", "denominator", "numerators",
-             "sse", "flag"]]
-    for rotation in rotations:
-        if rotation.ok:
-            result = rotation.fit
-            rows.append([
-                rotation.response.label,
-                ", ".join(repr(float(c)) for c in result.coefficients),
-                repr(float(result.denominator)),
-                ", ".join(repr(float(n)) for n in result.numerators),
-                repr(float(result.sse)),
-                result.condition_flag,
-            ])
+def render(payload: Mapping, format: str) -> bytes:
+    """Render a :data:`REPORT_SCHEMA` payload as ``"json"`` or ``"text"``.
+
+    JSON keeps every block in payload order.  Text draws ``rotations``
+    first, as an aligned table (a failed rotation shows its error under
+    coefficients), then every other block as ``name = value`` lines with
+    nested keys written ``name[key]``; an empty block is left out of the
+    text.  Both carry the same numbers at full precision.
+
+    Raises
+    ------
+    NonFiniteResultError
+        If any number in the payload is nan or infinite.
+    ValueError
+        If ``format`` is neither ``"text"`` nor ``"json"``.
+    """
+    if format not in ("text", "json"):
+        raise ValueError(f"unknown report format {format!r}")
+    for name, leaf in _leaves(payload):
+        if isinstance(leaf, float) and not math.isfinite(leaf):
+            raise NonFiniteResultError(
+                f"report value {name} is {leaf!r}, not a finite number")
+    if format == "json":
+        return render_json(payload)
+    lines = []
+    for block in sorted(payload, key=lambda b: b != "rotations"):
+        value = payload[block]
+        if not value:
+            continue
+        lines.append(f"{block}:")
+        if block == "rotations":
+            rows = [list(_ROTATION_COLUMNS)]
+            for entry in value:
+                if "error" in entry:
+                    entry = dict(entry, coefficients=entry["error"])
+                rows.append([_cell(entry.get(c, "-")) for c in _ROTATION_COLUMNS])
+            lines += ["  " + line for line in _format_table(rows)]
         else:
-            rows.append([rotation.response.label, str(rotation.error),
-                         "-", "-", "-", "singular"])
-    lines = ["rotations:"]
-    lines += ["  " + line for line in _format_table(rows)]
-    if measures:
-        lines.append("measures:")
-        for name, value in measures.items():
-            lines.append(f"  {name} = {repr(float(value))}")
+            lines += [f"  {name} = {leaf!r}" for name, leaf in _leaves(value)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_report(rotations: Sequence[RotationResult],
                  measures: Mapping[str, float] | None = None,
                  format: str = "text") -> bytes:
-    """Serialize fit rotations plus lattice measures.
+    """Serialize fit rotations plus lattice measures through :func:`render`.
 
     ``format`` is ``"text"`` (aligned table plus a measures block) or
     ``"json"`` (the :data:`REPORT_SCHEMA` layout).  Both carry the same
@@ -303,13 +347,7 @@ def write_report(rotations: Sequence[RotationResult],
     """
     if not rotations:
         raise ValueError("report requires at least one fit result")
-    if format not in ("text", "json"):
-        raise ValueError(f"unknown report format {format!r}")
-    measures = dict(measures or {})
-    if format == "json":
-        payload = {
-            "measures": {k: float(v) for k, v in measures.items()},
-            "rotations": [_rotation_entry(r) for r in rotations],
-        }
-        return render_json(payload)
-    return _render_text(rotations, measures)
+    return render({
+        "measures": {k: float(v) for k, v in (measures or {}).items()},
+        "rotations": [_rotation_entry(r) for r in rotations],
+    }, format)

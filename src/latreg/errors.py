@@ -27,6 +27,11 @@ class ZeroWeightError(LatregError):
     """The weight sum in a mean-operator denominator is numerically zero."""
 
 
+class NonFiniteResultError(LatregError):
+    """A report would carry nan or an infinity, typically because sums
+    of products of the data overflow the float range."""
+
+
 class SingularSystemError(LatregError):
     """The normal equations are singular or numerically unusable.
 

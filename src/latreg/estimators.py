@@ -120,32 +120,30 @@ def _predict(coefficients, regressors, data: Dataset) -> np.ndarray:
     return out
 
 
+def _vertex_det(lat: Lattice, rows: Sequence[Direction],
+                cols: Sequence[Direction]) -> float:
+    """Determinant of the 1x1, 2x2 or 3x3 vertex matrix
+    M[i][j] = V(rows[i], cols[j])."""
+    if len(rows) == 1:
+        return lat.vertex(rows[0], cols[0])
+    if len(rows) == 2:
+        return det2(lat, rows[0], cols[0], rows[1], cols[1])
+    return det3_general(lat, rows, cols)
+
+
 def _system(lat: Lattice, spec: ModelSpec):
-    """Gram matrix, right side, denominator and numerator determinants."""
+    """Gram matrix, right side, denominator and numerator determinants.
+
+    The numerator of coefficient i is the system determinant with
+    column i replaced by the response (Cramer's rule).
+    """
     regs = spec.regressors
     resp = spec.response
-    k = len(regs)
     gram = [[lat.vertex(a, b) for b in regs] for a in regs]
     rhs = [lat.vertex(a, resp) for a in regs]
-
-    if k == 1:
-        den = gram[0][0]
-        nums = [rhs[0]]
-    elif k == 2:
-        a, b = regs
-        den = det2(lat, a, a, b, b)
-        nums = []
-        for i in range(2):
-            cols = list(regs)
-            cols[i] = resp
-            nums.append(det2(lat, a, cols[0], b, cols[1]))
-    else:
-        den = det3_general(lat, regs, regs)
-        nums = []
-        for i in range(3):
-            cols = list(regs)
-            cols[i] = resp
-            nums.append(det3_general(lat, regs, cols))
+    den = _vertex_det(lat, regs, regs)
+    nums = [_vertex_det(lat, regs, regs[:i] + (resp,) + regs[i + 1:])
+            for i in range(len(regs))]
     return gram, rhs, den, nums
 
 

@@ -18,9 +18,10 @@ covers the variance family (for instance det2(1,1,x,x) = n sum(x^2) -
 sum(x)^2, which is n^2 times the population variance), and 3x3
 determinants over a vertex matrix cover the three-regressor systems.
 
-All sums are accumulated with exact compensated summation
-(:func:`math.fsum`); the determinant formulas subtract near-equal
-products, so sloppy accumulation would surface directly in the results.
+Each vertex is the correctly rounded sum (:func:`math.fsum`) of the
+per-row products, which are themselves already rounded to float; the
+determinant formulas subtract near-equal products, so sloppier
+accumulation would surface directly in the results.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -279,33 +280,44 @@ def det3_general(lat: Lattice, rows: Sequence[Direction],
 
 @dataclass(frozen=True)
 class DeterminantKind:
-    """A named member of the determinant family, tagged with the
-    directions it combines.  Use the classmethod constructors."""
+    """A named member of the determinant family, given by its subscripts.
+
+    ``subscripts`` lists (row, column) direction pairs of the vertex
+    matrix, ``(r0, c0, r1, c1)`` for a 2x2 determinant and
+    ``(r0, c0, r1, c1, r2, c2)`` for a 3x3 one, so the determinant is
+    that of M[i][j] = V(subscripts[2i], subscripts[2j + 1]).  The paper's
+    names are these subscripts: variance(x) is delta_11xx with
+    subscripts (1, 1, x, x).  ``tag`` only names the kind.  Use the
+    classmethod constructors.
+
+    Version 0.1.0 named the field ``directions`` and stored only the
+    constructor arguments, leaving the subscripts to a per-tag table.
+    """
 
     tag: str
-    directions: tuple[Direction, ...]
+    subscripts: tuple[Direction, ...]
 
     @classmethod
     def variance(cls, a: Direction) -> "DeterminantKind":
         """n sum(a^2) - sum(a)^2, i.e. n^2 times the population variance."""
-        return cls("variance", (a,))
+        return cls("variance", (UNITY, UNITY, a, a))
 
     @classmethod
     def covariance(cls, a: Direction, b: Direction) -> "DeterminantKind":
         """n sum(ab) - sum(a) sum(b), i.e. n^2 times the population covariance."""
-        return cls("covariance", (a, b))
+        return cls("covariance", (UNITY, UNITY, a, b))
 
     @classmethod
     def internal_covariance(cls, a: Direction, b: Direction) -> "DeterminantKind":
         """sum(a) sum(b^2) - sum(b) sum(ab): the level-one/level-two mixed
         determinant with subscripts (1, a, b, b)."""
-        return cls("internal_covariance", (a, b))
+        return cls("internal_covariance", (UNITY, a, b, b))
 
     @classmethod
     def base_variance(cls, a: Direction, b: Direction) -> "DeterminantKind":
         """sum(a^2) sum(b^2) - sum(ab)^2: the level-two determinant that is
         the denominator of non-response estimates."""
-        return cls("base_variance", (a, b))
+        return cls("base_variance", (a, a, b, b))
 
     @classmethod
     def general2(cls, a: Direction, b: Direction,
@@ -317,7 +329,7 @@ class DeterminantKind:
     def form1(cls, a: Direction, b: Direction, c: Direction) -> "DeterminantKind":
         """Symmetric 3x3 determinant with rows = cols = (a, b, c): the
         denominator of a three-regressor system."""
-        return cls("form1", (a, b, c))
+        return cls("form1", (a, a, b, b, c, c))
 
     @classmethod
     def form2(cls, a: Direction, b: Direction, c: Direction,
@@ -325,53 +337,35 @@ class DeterminantKind:
         """form1(a, b, c) with the first column direction replaced by d:
         the numerator determinant of a three-regressor system.  Reduces to
         form1 when d = a."""
-        return cls("form2", (a, b, c, d))
+        return cls("form2", (a, d, b, b, c, c))
 
 
 def form_determinant(lat: Lattice, kind: DeterminantKind) -> float:
-    """Evaluate any member of the determinant family on a lattice."""
-    t, ds = kind.tag, kind.directions
-    if t == "variance":
-        (a,) = ds
-        return det2(lat, UNITY, UNITY, a, a)
-    if t == "covariance":
-        a, b = ds
-        return det2(lat, UNITY, UNITY, a, b)
-    if t == "internal_covariance":
-        a, b = ds
-        return det2(lat, UNITY, a, b, b)
-    if t == "base_variance":
-        a, b = ds
-        return det2(lat, a, a, b, b)
-    if t == "general2":
-        return det2(lat, *ds)
-    if t == "form1":
-        return det3_general(lat, ds, ds)
-    if t == "form2":
-        a, b, c, d = ds
-        return det3_general(lat, (a, b, c), (d, b, c))
-    raise ValueError(f"unknown determinant kind {t!r}")
+    """Evaluate any member of the determinant family on a lattice.
 
-
-#: Kinds that admit the sigma = delta / n^2 rescaling.
-_SIGMA_KINDS = ("variance", "covariance", "internal_covariance", "base_variance")
+    Four subscripts give :func:`det2`, six give :func:`det3_general`
+    over rows ``subscripts[0::2]`` and columns ``subscripts[1::2]``.
+    """
+    subs = kind.subscripts
+    if len(subs) == 4:
+        return det2(lat, *subs)
+    if len(subs) == 6:
+        return det3_general(lat, subs[0::2], subs[1::2])
+    raise ValueError(f"determinant kind {kind.tag!r} has {len(subs)} "
+                     "subscripts; expected 4 or 6")
 
 
 def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
     """Determinant divided by n^2 (population-style scaling).
 
-    Only defined for the variance, covariance, internal covariance, and
-    base variance kinds; the n^2 factor is exactly what those
-    determinants carry over the plain moment.
+    Only defined for the 2x2 kinds (variance, covariance, internal
+    covariance, base variance and general2); the n^2 factor is exactly
+    what the named ones carry over the plain moment.
     """
-    if kind.tag not in _SIGMA_KINDS:
+    if len(kind.subscripts) != 4:
         raise ValueError(f"no sigma scaling for determinant kind {kind.tag!r}")
     n = lat.source.n
     return form_determinant(lat, kind) / float(n * n)
-
-
-def _subscript_key(prefix: str, dirs: Iterable[Direction]) -> str:
-    return prefix + "".join(d.label for d in dirs)
 
 
 def measure_catalog(source: Dataset | Lattice,
@@ -383,8 +377,9 @@ def measure_catalog(source: Dataset | Lattice,
     (:class:`MissingVertexError` otherwise).
 
     Returns an ordered mapping whose keys follow the subscript naming of
-    the determinant family: ``v_1x`` for vertices, ``delta_11xx`` for
-    determinants, and ``sigma_11xx`` for the delta / n^2 rescalings.
+    the determinant family: ``v_1x`` for vertices, ``delta_`` plus a
+    kind's subscript labels (``delta_11xx``) for determinants, and
+    ``sigma_11xx`` for the delta / n^2 rescalings of the 2x2 kinds.
     Keys concatenate column names directly, so single-character column
     names read exactly like the subscripts.
     """
@@ -399,40 +394,22 @@ def measure_catalog(source: Dataset | Lattice,
     axes = [UNITY, *dirs]
     for i, a in enumerate(axes):
         for b in axes[i:]:
-            out[_subscript_key("v_", (a, b))] = lat.vertex(a, b)
+            out[f"v_{a.label}{b.label}"] = lat.vertex(a, b)
 
-    variances = [DeterminantKind.variance(a) for a in dirs]
-    covariances = [DeterminantKind.covariance(a, b)
-                   for a, b in itertools.combinations(dirs, 2)]
-    internals = []
-    for a, b in itertools.combinations(dirs, 2):
-        internals.append(DeterminantKind.internal_covariance(b, a))
-        internals.append(DeterminantKind.internal_covariance(a, b))
-    bases = [DeterminantKind.base_variance(a, b)
-             for a, b in itertools.combinations(dirs, 2)]
-
-    def delta_key(kind: DeterminantKind) -> str:
-        if kind.tag == "variance":
-            (a,) = kind.directions
-            subs = (UNITY, UNITY, a, a)
-        elif kind.tag == "covariance":
-            a, b = kind.directions
-            subs = (UNITY, UNITY, a, b)
-        elif kind.tag == "internal_covariance":
-            a, b = kind.directions
-            subs = (UNITY, a, b, b)
-        else:
-            a, b = kind.directions
-            subs = (a, a, b, b)
-        return _subscript_key("delta_", subs)
-
-    named = variances + covariances + internals + bases
-    for kind in named:
-        out[delta_key(kind)] = form_determinant(lat, kind)
+    pairs = list(itertools.combinations(dirs, 2))
+    kinds = [DeterminantKind.variance(a) for a in dirs]
+    kinds += [DeterminantKind.covariance(a, b) for a, b in pairs]
+    for a, b in pairs:
+        kinds.append(DeterminantKind.internal_covariance(b, a))
+        kinds.append(DeterminantKind.internal_covariance(a, b))
+    kinds += [DeterminantKind.base_variance(a, b) for a, b in pairs]
     if len(dirs) == 3:
-        a, b, c = dirs
-        out[_subscript_key("delta_", (a, a, b, b, c, c))] = form_determinant(
-            lat, DeterminantKind.form1(a, b, c))
-    for kind in named:
-        out["sigma_" + delta_key(kind)[len("delta_"):]] = scaled_sigma(lat, kind)
+        kinds.append(DeterminantKind.form1(*dirs))
+
+    keys = ["".join(d.label for d in kind.subscripts) for kind in kinds]
+    for kind, key in zip(kinds, keys):
+        out["delta_" + key] = form_determinant(lat, kind)
+    for kind, key in zip(kinds, keys):
+        if len(kind.subscripts) == 4:
+            out["sigma_" + key] = scaled_sigma(lat, kind)
     return out

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import latreg.cli
@@ -186,6 +187,28 @@ class TestRotate:
         assert by_response["y"]["flag"] == "well-posed"
 
 
+class TestNonFiniteResults:
+    """Sums of products near 1e400 overflow; no report may print them."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("rotate", "--columns", "x,y"),
+        ("fit", "--model", "y = 1 + x"),
+        ("measures", "--columns", "x,y"),
+        ("means", "--columns", "x,y"),
+    ])
+    def test_overflow_is_data_error(self, capsys, tmp_path, argv, fmt):
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n1e200,2e200\n2e200,3.5e200\n3e200,6e200\n",
+                        encoding="utf-8")
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, *argv, "--input", str(path),
+                                 "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert "not a finite number" in err
+
+
 class TestOneLatticePerRequest:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -304,3 +327,207 @@ class TestContract:
              "--model", "1 = x + y"],
             capture_output=True, text=True)
         assert result.returncode == 4
+
+
+D1_MEASURES_TEXT = """\
+measures:
+  v_11 = 3.0
+  v_1x = 6.0
+  v_1y = 10.0
+  v_xx = 14.0
+  v_xy = 23.0
+  v_yy = 38.0
+  delta_11xx = 6.0
+  delta_11yy = 14.0
+  delta_11xy = 9.0
+  delta_1yxx = 2.0
+  delta_1xyy = -2.0
+  delta_xxyy = 3.0
+  sigma_11xx = 0.6666666666666666
+  sigma_11yy = 1.5555555555555556
+  sigma_11xy = 1.0
+  sigma_1yxx = 0.2222222222222222
+  sigma_1xyy = -0.2222222222222222
+  sigma_xxyy = 0.3333333333333333
+"""
+
+D2_MEASURES_TEXT = """\
+measures:
+  v_11 = 3.0
+  v_1x = 6.0
+  v_1y = 10.0
+  v_1z = 5.0
+  v_xx = 14.0
+  v_xy = 23.0
+  v_xz = 11.0
+  v_yy = 38.0
+  v_yz = 18.0
+  v_zz = 9.0
+  delta_11xx = 6.0
+  delta_11yy = 14.0
+  delta_11zz = 2.0
+  delta_11xy = 9.0
+  delta_11xz = 3.0
+  delta_11yz = 4.0
+  delta_1yxx = 2.0
+  delta_1xyy = -2.0
+  delta_1zxx = 4.0
+  delta_1xzz = -1.0
+  delta_1zyy = 10.0
+  delta_1yzz = 0.0
+  delta_xxyy = 3.0
+  delta_xxzz = 5.0
+  delta_yyzz = 18.0
+  delta_xxyyzz = 1.0
+  sigma_11xx = 0.6666666666666666
+  sigma_11yy = 1.5555555555555556
+  sigma_11zz = 0.2222222222222222
+  sigma_11xy = 1.0
+  sigma_11xz = 0.3333333333333333
+  sigma_11yz = 0.4444444444444444
+  sigma_1yxx = 0.2222222222222222
+  sigma_1xyy = -0.2222222222222222
+  sigma_1zxx = 0.4444444444444444
+  sigma_1xzz = -0.1111111111111111
+  sigma_1zyy = 1.1111111111111112
+  sigma_1yzz = 0.0
+  sigma_xxyy = 0.3333333333333333
+  sigma_xxzz = 0.5555555555555556
+  sigma_yyzz = 2.0
+"""
+
+# The catalog of "y = 1 + x" lists its columns in model order, y first.
+D1_YX_MEASURES_TEXT = """\
+measures:
+  v_11 = 3.0
+  v_1y = 10.0
+  v_1x = 6.0
+  v_yy = 38.0
+  v_yx = 23.0
+  v_xx = 14.0
+  delta_11yy = 14.0
+  delta_11xx = 6.0
+  delta_11yx = 9.0
+  delta_1xyy = -2.0
+  delta_1yxx = 2.0
+  delta_yyxx = 3.0
+  sigma_11yy = 1.5555555555555556
+  sigma_11xx = 0.6666666666666666
+  sigma_11yx = 1.0
+  sigma_1xyy = -0.2222222222222222
+  sigma_1yxx = 0.2222222222222222
+  sigma_yyxx = 0.3333333333333333
+"""
+
+GOLDEN_TEXT = {
+    "measures-d1": (("measures", "--columns", "x,y"), "d1", D1_MEASURES_TEXT),
+    "measures-d2": (("measures", "--columns", "x,y,z"), "d2",
+                    D2_MEASURES_TEXT),
+    "means-d1": (("means", "--columns", "x,y"), "d1", """\
+means:
+  standard[x] = 2.0
+  standard[y] = 3.3333333333333335
+  self_weighting[x] = 2.3333333333333335
+  self_weighting[y] = 3.8
+  randomly_weighted[x][y] = 2.3
+  randomly_weighted[y][x] = 3.8333333333333335
+"""),
+    "fit-explicit": (("fit", "--model", "y = 1 + x"), "d1", """\
+rotations:
+  response  coefficients             denominator  numerators  sse                 flag
+  y         0.3333333333333333, 1.5  6.0          2.0, 9.0    0.1666666666666669  well-posed
+""" + D1_YX_MEASURES_TEXT),
+    "fit-implicit": (("fit", "--model", "1 = x + y"), "d1", """\
+rotations:
+  response  coefficients                             denominator  numerators  sse                 flag
+  1         -0.6666666666666666, 0.6666666666666666  3.0          -2.0, 2.0   0.3333333333333331  well-posed
+""" + D1_MEASURES_TEXT),
+    "fit-interaction": (("fit", "--model", "1 = x + y + x*y"), "d1", """\
+rotations:
+  response  coefficients                                                    denominator  numerators        sse                     flag
+  1         -0.14285714285714285, 0.7142857142857143, -0.14285714285714285  49.0         -7.0, 35.0, -7.0  1.9721522630525295e-31  well-posed
+""" + D1_MEASURES_TEXT),
+    # x enters only as x*x, so there is no catalog and no measures block.
+    "fit-no-catalog": (("fit", "--model", "y = 1 + x*x"), "d1", """\
+rotations:
+  response  coefficients                             denominator  numerators   sse                  flag
+  y         1.5714285714285714, 0.37755102040816324  98.0         154.0, 37.0  0.01020408163265308  well-posed
+"""),
+    "rotate-d1": (("rotate", "--columns", "x,y"), "d1", """\
+rotations:
+  response  coefficients                              denominator  numerators  sse                  flag
+  x         -0.14285714285714285, 0.6428571428571429  14.0         -2.0, 9.0   0.07142857142857137  well-posed
+  y         0.3333333333333333, 1.5                   6.0          2.0, 9.0    0.1666666666666669   well-posed
+  1         -0.6666666666666666, 0.6666666666666666   3.0          -2.0, 2.0   0.3333333333333331   well-posed
+""" + D1_MEASURES_TEXT),
+    "rotate-d2": (("rotate", "--columns", "x,y,z"), "d2", """\
+rotations:
+  response  coefficients    denominator  numerators      sse  flag
+  x         -0.5, 0.5, 0.5  4.0          -2.0, 2.0, 2.0  0.0  well-posed
+  y         1.0, 2.0, -1.0  1.0          1.0, 2.0, -1.0  0.0  well-posed
+  z         1.0, 2.0, -1.0  1.0          1.0, 2.0, -1.0  0.0  well-posed
+  1         -2.0, 1.0, 1.0  1.0          -2.0, 1.0, 1.0  0.0  well-posed
+""" + D2_MEASURES_TEXT),
+    "rotate-singular-row": (("rotate", "--columns", "x,y"), "dup", """\
+rotations:
+  response  coefficients                                                 denominator  numerators  sse  flag
+  x         0.0, 1.0                                                     6.0          0.0, 6.0    0.0  well-posed
+  y         0.0, 1.0                                                     6.0          0.0, 6.0    0.0  well-posed
+  1         singular normal equations for '1 = x + y' (determinant 0.0)  -            -           -    singular
+measures:
+  v_11 = 3.0
+  v_1x = 6.0
+  v_1y = 6.0
+  v_xx = 14.0
+  v_xy = 14.0
+  v_yy = 14.0
+  delta_11xx = 6.0
+  delta_11yy = 6.0
+  delta_11xy = 6.0
+  delta_1yxx = 0.0
+  delta_1xyy = 0.0
+  delta_xxyy = 0.0
+  sigma_11xx = 0.6666666666666666
+  sigma_11yy = 0.6666666666666666
+  sigma_11xy = 0.6666666666666666
+  sigma_1yxx = 0.0
+  sigma_1xyy = 0.0
+  sigma_xxyy = 0.0
+"""),
+    "simulate": (("simulate", "--seed", "7", "--n", "100", "--trials", "5"),
+                 None, """\
+simulation:
+  seed = 7
+  n = 100
+  mu = 100.0
+  sigma = 1.0
+  trials = 5
+  random_weight_dev_max = 0.05116728552448535
+  random_weight_dev_mean = 0.031795607323354604
+  self_weight_dev_max = 0.010588917659404729
+  self_weight_dev_mean = 0.008947744858872397
+"""),
+}
+
+INPUTS = {"d1": D1_CSV, "d2": D2_CSV, "dup": "x,y\n1,1\n2,2\n3,3\n"}
+
+
+class TestTextGolden:
+    """The text layout, byte for byte, on the desk fixtures."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TEXT))
+    def test_stdout(self, capsys, tmp_path, case):
+        argv, source, expected = GOLDEN_TEXT[case]
+        if source is not None:
+            path = tmp_path / f"{source}.csv"
+            path.write_text(INPUTS[source], encoding="utf-8")
+            argv = (*argv, "--input", str(path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected
+
+    def test_empty_measures_kept_in_json(self, capsys, d1_path):
+        code, out, _ = run(capsys, "fit", "--input", d1_path,
+                           "--model", "y = 1 + x*x", "--format", "json")
+        assert code == 0
+        assert out.startswith('{\n  "measures": {},\n  "rotations": [\n')

@@ -338,6 +338,21 @@ class TestMeasureCatalog:
         assert "delta_11zz" in catalog
         assert "delta_yyzz" in catalog
 
+    def test_delta_keys_spell_their_subscripts(self):
+        data = random_dataset(np.random.default_rng(29), n_columns=3)
+        lat = lattice_for(data, X, Y, Z)
+        catalog = measure_catalog(lat, ["x", "y", "z"])
+        deltas = [key for key in catalog if key.startswith("delta_")]
+        assert len(deltas) == 16
+        for key in deltas:
+            label = key[len("delta_"):]
+            subscripts = tuple(UNITY if s == "1" else Direction(s)
+                               for s in label)
+            kind = DeterminantKind(key, subscripts)
+            assert catalog[key] == form_determinant(lat, kind)
+            if len(subscripts) == 4:
+                assert catalog["sigma_" + label] == scaled_sigma(lat, kind)
+
     def test_constant_columns_zero_variances(self):
         data = Dataset({"x": [2.0, 2.0, 2.0], "y": [7.0, 7.0, 7.0]})
         catalog = measure_catalog(data, ["x", "y"])
