@@ -4,7 +4,8 @@ Subcommands: ``measures`` (vertices and the determinant family),
 ``means`` (the three mean families), ``fit`` (one model), ``rotate``
 (every rotation of a column set), ``simulate`` (seeded weighted-mean
 convergence check).  Exit codes are a stable contract: 0 success,
-2 usage or model-expression error, 3 data error, 4 singular system.
+2 usage or model-expression error (including an input file that cannot
+be opened), 3 data error, 4 singular system.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     except LatregError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_DATA
-    except ValueError as err:
+    except (ValueError, OSError) as err:
+        # OSError: an --input path that cannot be opened or read.
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

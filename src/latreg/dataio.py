@@ -6,7 +6,25 @@ by position, so a rotation report can never silently swap axes.  Values
 must parse as finite decimals with a ``.`` separator (scientific
 notation accepted, surrounding whitespace ignored); missing or malformed
 cells, digit-group underscores (``1_0``) and non-ASCII digits are
-errors, not imputed.
+errors, not imputed.  Text that cannot be decoded, and a record the
+:mod:`csv` module refuses (a field over its size limit), are errors too.
+
+The header is read with :mod:`csv`.  Data lines are then read in chunks
+of about :data:`_CHUNK_CHARS` characters, and each chunk's selected
+columns are converted in one ``np.loadtxt`` call.  Before the call,
+every non-blank line must have the header's field count; after it,
+every value must be finite.  The per-cell reader, :mod:`csv` plus one
+``float()`` per cell, runs only where that conversion might not read
+the chunk as it would:
+
+* from the first chunk holding a ``"`` or a ``\\r`` to the end of the
+  input, since quoted text may run past a chunk, and
+* on any other chunk that is not plain ASCII, holds a separator
+  ``np.loadtxt`` strips but ``float()`` does not, or fails a check or
+  the conversion.  It then raises the positioned :class:`CsvFormatError`
+  or, if the chunk is valid after all, returns the chunk's values.
+
+Both readers accept the same input and give the same values bit for bit.
 
 Every report is one payload in the :data:`REPORT_SCHEMA` layout, which
 :func:`render` serializes to JSON (stable key order, shortest round-trip
@@ -21,8 +39,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +58,17 @@ __all__ = [
     "write_report",
     "REPORT_SCHEMA",
 ]
+
+#: Characters of data lines read per chunk (``readlines`` hint).  Each
+#: chunk is one ``np.loadtxt`` call; its text and line objects are all of
+#: the input alive at once.  While a chunk's text is within the ``csv``
+#: field size limit (131072 by default), none of its lines can exceed it,
+#: so at this size the line lengths are rarely scanned.
+_CHUNK_CHARS = 1 << 16
+
+#: ASCII separators that ``np.loadtxt`` strips around a number but
+#: ``float()`` does not; a chunk holding one goes to the per-cell reader.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -91,14 +121,22 @@ def read_csv(source: str | Path | IO[str], selection: ColumnSelection) -> Datase
     ------
     CsvFormatError
         On a missing header name, a ragged row, a cell that is not a
-        finite ASCII decimal (reported with its data row and column), or
-        an empty data section.
+        finite ASCII decimal (reported with its data row and column), a
+        record the :mod:`csv` module refuses (such as a field over its
+        size limit, reported with its data row), text that cannot be
+        decoded, or an empty data section.
     """
-    if isinstance(source, (str, Path)):
-        # utf-8-sig: tolerate a BOM without corrupting the first header name
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return _read_csv_stream(handle, selection)
-    return _read_csv_stream(source, selection)
+    try:
+        if isinstance(source, (str, Path)):
+            # utf-8-sig: tolerate a BOM without corrupting the first header name
+            with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+                return _read_csv_stream(handle, selection)
+        return _read_csv_stream(source, selection)
+    except UnicodeDecodeError as err:
+        raise CsvFormatError(
+            f"input is not {err.encoding} text: byte "
+            f"{err.object[err.start]:#04x} cannot be decoded "
+            f"({err.reason})") from None
 
 
 def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
@@ -107,47 +145,111 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise CsvFormatError("input has no header row") from None
-    positions = {}
+    except csv.Error as err:
+        raise CsvFormatError(f"header row: {err}") from None
     for name in selection.names:
         if name not in header:
             raise CsvFormatError(f"header has no column named {name!r}",
                                  column=name)
-        positions[name] = header.index(name)
+    usecols = [header.index(name) for name in selection.names]
 
-    values: dict[str, list[float]] = {name: [] for name in selection.names}
-    row_number = 0
-    for row in reader:
-        if not row:
-            continue  # blank line
-        row_number += 1
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"row {row_number} has {len(row)} fields, header has "
-                f"{len(header)}", row=row_number)
-        for name in selection.names:
-            cell = row[positions[name]]
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            # float() also reads "1_0" as 10 and non-ASCII digits as
-            # decimals; neither is a finite decimal under the contract.
-            if not math.isfinite(value) or "_" in cell or not cell.isascii():
-                raise CsvFormatError(
-                    f"row {row_number}, column {name!r}: "
-                    f"value {cell!r} is not a finite number",
-                    row=row_number, column=name)
-            values[name].append(value)
-    if row_number == 0:
+    blocks = []
+    n_rows = 0
+    for lines in iter(lambda: stream.readlines(_CHUNK_CHARS), []):
+        text = "".join(lines)
+        if '"' in text or "\r" in text:
+            # A quoted field may run past this chunk, so the per-cell
+            # reader takes the rest of the stream.
+            blocks.append(_parse_cells(chain(lines, stream), len(header),
+                                       usecols, selection.names, n_rows))
+            n_rows += len(blocks[-1])
+            break
+        block = _convert_chunk(lines, text, len(header), usecols)
+        if block is None:
+            block = _parse_cells(lines, len(header), usecols,
+                                 selection.names, n_rows)
+        blocks.append(block)
+        n_rows += len(block)
+    if n_rows == 0:
         raise CsvFormatError("data section is empty")
 
-    columns = {name: np.array(vals) for name, vals in values.items()}
+    columns = {name: np.concatenate([block[:, i] for block in blocks])
+               for i, name in enumerate(selection.names)}
     for d in selection.derived:
-        product = np.ones(row_number)
+        product = np.ones(n_rows)
         for factor in d.factors:
             product = product * columns[factor]
         columns[d.name] = product
     return Dataset(columns)
+
+
+def _convert_chunk(lines: list[str], text: str, n_fields: int,
+                   usecols: list[int]) -> np.ndarray | None:
+    """The selected cells of unquoted, ``\\n``-terminated CSV lines as an
+    (n, k) array, or None when the per-cell reader must decide.
+
+    None is returned for any chunk that reader might read differently:
+    non-ASCII text, a separator that ``np.loadtxt`` strips but
+    ``float()`` does not, a line the ``csv`` module would refuse as too
+    long, a row with the wrong field count, a cell ``np.loadtxt``
+    rejects, or a value that is not finite.
+    """
+    if not text.isascii() or any(c in text for c in _LOADTXT_ONLY_SPACE):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    # csv.reader skips blank lines, so they are not rows.
+    rows = [line for line in lines if line != "\n"] if "\n" in lines else lines
+    if not rows or set(map(str.count, rows, repeat(","))) != {n_fields - 1}:
+        return None
+    try:
+        block = np.loadtxt(rows, delimiter=",", usecols=usecols, dtype=float,
+                           ndmin=2, comments=None, quotechar=None)
+    except ValueError:
+        return None
+    # np.loadtxt skips empty lines on its own; the row count guards the
+    # alignment of rows and their numbers should it skip any other.
+    if len(block) != len(rows) or not np.isfinite(block).all():
+        return None
+    return block
+
+
+def _parse_cells(lines: Iterable[str], n_fields: int, usecols: list[int],
+                 names: Sequence[str], row_offset: int) -> np.ndarray:
+    """The selected cells of CSV lines, read record by record with the
+    ``csv`` module and converted one ``float()`` at a time, as an (n, k)
+    array.  Data rows are numbered from ``row_offset + 1`` in errors."""
+    values: list[float] = []
+    row_number = row_offset
+    try:
+        for row in csv.reader(lines):
+            if not row:
+                continue  # blank line
+            row_number += 1
+            if len(row) != n_fields:
+                raise CsvFormatError(
+                    f"row {row_number} has {len(row)} fields, header has "
+                    f"{n_fields}", row=row_number)
+            for name, position in zip(names, usecols):
+                cell = row[position]
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                # float() also reads "1_0" as 10 and non-ASCII digits as
+                # decimals; neither is a finite decimal under the contract.
+                if not math.isfinite(value) or "_" in cell or not cell.isascii():
+                    raise CsvFormatError(
+                        f"row {row_number}, column {name!r}: "
+                        f"value {cell!r} is not a finite number",
+                        row=row_number, column=name)
+                values.append(value)
+    except csv.Error as err:
+        raise CsvFormatError(f"row {row_number + 1}: {err}",
+                             row=row_number + 1) from None
+    return np.array(values, dtype=float).reshape(row_number - row_offset,
+                                                 len(usecols))
 
 
 def write_csv(data: Dataset) -> bytes:

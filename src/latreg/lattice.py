@@ -33,7 +33,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ColumnNotFoundError, EmptyDataError, MissingVertexError
+from .errors import (ColumnNotFoundError, EmptyDataError, MissingVertexError,
+                     NonFiniteResultError)
 
 __all__ = [
     "Direction",
@@ -212,9 +213,16 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
 
     values = {d: data.evaluate(d) for d in dirs}
     vertices: dict[tuple, float] = {}
-    for i, a in enumerate(dirs):
-        for b in dirs[i:]:
-            vertices[_vertex_key(a, b)] = math.fsum(values[a] * values[b])
+    try:
+        for i, a in enumerate(dirs):
+            for b in dirs[i:]:
+                vertices[_vertex_key(a, b)] = math.fsum(values[a] * values[b])
+    except (OverflowError, ValueError) as err:
+        # fsum raises, instead of returning an infinity, on finite sums
+        # that overflow midway and on products holding +inf and -inf.
+        raise NonFiniteResultError(
+            f"vertex V({a.label}, {b.label}) is outside the float range "
+            f"({err})") from None
     return Lattice(data, dirs, vertices)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroWeightError
+from .errors import NonFiniteResultError, ZeroWeightError
 from .lattice import Dataset, Direction, UNITY
 
 __all__ = [
@@ -47,11 +47,20 @@ def mean_operator(data: Dataset, req: MeanRequest) -> float:
     """
     a, b = req.vertex
     weights = data.evaluate(a) * data.evaluate(b)
-    denominator = math.fsum(weights)
-    if abs(denominator) <= ZERO_WEIGHT_EPS * math.fsum(np.abs(weights)):
+    target = data.evaluate(req.target)
+    try:
+        denominator = math.fsum(weights)
+        magnitude = math.fsum(np.abs(weights))
+        numerator = math.fsum(weights * target)
+    except (OverflowError, ValueError) as err:
+        # fsum raises, instead of returning an infinity, on finite sums
+        # that overflow midway and on products holding +inf and -inf.
+        raise NonFiniteResultError(
+            f"mean of {req.target.label} over vertex ({a.label}, {b.label}) "
+            f"is outside the float range ({err})") from None
+    if abs(denominator) <= ZERO_WEIGHT_EPS * magnitude:
         raise ZeroWeightError(
             f"weight sum over vertex ({a.label}, {b.label}) is numerically zero")
-    numerator = math.fsum(weights * data.evaluate(req.target))
     return numerator / denominator
 
 

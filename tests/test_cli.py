@@ -208,6 +208,39 @@ class TestNonFiniteResults:
         assert out == ""
         assert "not a finite number" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, named", [
+        (("rotate", "--columns", "x,y"), "vertex V(x, y)"),
+        (("fit", "--model", "y = 1 + x"), "vertex V(x, y)"),
+        (("measures", "--columns", "x,y"), "vertex V(x, y)"),
+        (("means", "--columns", "x,y"), "mean of x over vertex (1, y)"),
+    ])
+    def test_mixed_sign_overflow_is_data_error(self, capsys, tmp_path, argv,
+                                               named, fmt):
+        # The products x*y hold both +inf and -inf, which math.fsum
+        # refuses with a ValueError of its own.
+        path = tmp_path / "mixed.csv"
+        path.write_text("x,y\n1e200,-1e200\n-1e200,1e200\n3e200,1e200\n",
+                        encoding="utf-8")
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, *argv, "--input", str(path),
+                                 "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {named} is outside the float range")
+
+    def test_intermediate_overflow_is_data_error(self, capsys, tmp_path):
+        # Finite values whose running sum overflows: math.fsum raises
+        # OverflowError for V(1, x).
+        path = tmp_path / "edge.csv"
+        path.write_text("x,y\n1.5e308,1\n1.5e308,2\n1,3\n", encoding="utf-8")
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, "rotate", "--columns", "x,y",
+                                 "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: vertex V(1, x) is outside the float range")
+
 
 class TestOneLatticePerRequest:
     @pytest.fixture
@@ -309,6 +342,15 @@ class TestContract:
         with pytest.raises(SystemExit) as excinfo:
             main(["bogus-command"])
         assert excinfo.value.code == 2
+
+    def test_missing_input_file_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "absent.csv")
+        code, out, err = run(capsys, "rotate", "--input", missing,
+                             "--columns", "x,y")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert missing in err
 
     def test_console_entry_point(self, d1_path):
         result = subprocess.run(
