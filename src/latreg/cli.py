@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO
+
+import numpy as np
 
 from .dataio import ColumnSelection, read_csv, render, write_report
 from .errors import FormulaError, LatregError, SingularSystemError
@@ -74,11 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one model expression",
                        epilog=MODEL_GRAMMAR,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--input", required=True, metavar="PATH",
-                   help="CSV file with a header row, or - for stdin")
+    add_io(p)
     p.add_argument("--model", required=True, metavar="EXPR",
                    help='model expression, e.g. "1 = x + y"')
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("rotate",
@@ -110,10 +109,10 @@ def _split_columns(raw: str, minimum: int, maximum: int) -> list[str]:
 
 
 def _load(args, columns: list[str]) -> Dataset:
-    selection = ColumnSelection(names=tuple(columns))
-    if args.input == "-":
-        return read_csv(sys.stdin, selection)
-    return read_csv(args.input, selection)
+    # stdin is read as bytes, which read_csv decodes as it decodes a path.
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
+    return read_csv(stdin if args.input == "-" else args.input,
+                    ColumnSelection(names=tuple(columns)))
 
 
 def _emit(payload_bytes: bytes) -> None:
@@ -201,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow is refused below as a data error, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except FormulaError as err:
         _print_formula_error(err, getattr(args, "model", ""))
         return EXIT_USAGE

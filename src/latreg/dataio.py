@@ -17,8 +17,8 @@ every value must be finite.  The per-cell reader, :mod:`csv` plus one
 ``float()`` per cell, runs only where that conversion might not read
 the chunk as it would:
 
-* from the first chunk holding a ``"`` or a ``\\r`` to the end of the
-  input, since quoted text may run past a chunk, and
+* from the first chunk holding a ``"`` to the end of the input, since
+  quoted text may run past a chunk, and
 * on any other chunk that is not plain ASCII, holds a separator
   ``np.loadtxt`` strips but ``float()`` does not, or fails a check or
   the conversion.  It then raises the positioned :class:`CsvFormatError`
@@ -38,6 +38,7 @@ import csv
 import io
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -102,13 +103,16 @@ class ColumnSelection:
                     f"column(s) {missing}")
 
 
-def read_csv(source: str | Path | IO[str], selection: ColumnSelection) -> Dataset:
+def read_csv(source: str | Path | IO[str] | IO[bytes],
+             selection: ColumnSelection) -> Dataset:
     """Read selected columns (plus derived interactions) from CSV.
 
     Parameters
     ----------
-    source : path or text stream
-        CSV input with a header row.
+    source : path, binary stream or text stream
+        CSV input with a header row.  A path or a binary stream (such as
+        ``sys.stdin.buffer``) is decoded as UTF-8, with or without a
+        BOM, and its lines may end in LF, CRLF or CR.
     selection : ColumnSelection
         Columns to keep; every name must appear in the header.
 
@@ -126,17 +130,20 @@ def read_csv(source: str | Path | IO[str], selection: ColumnSelection) -> Datase
         size limit, reported with its data row), text that cannot be
         decoded, or an empty data section.
     """
-    try:
+    with ExitStack() as stack:
         if isinstance(source, (str, Path)):
+            source = stack.enter_context(open(source, "rb"))
+        if isinstance(source, io.BufferedIOBase):
             # utf-8-sig: tolerate a BOM without corrupting the first header name
-            with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-                return _read_csv_stream(handle, selection)
-        return _read_csv_stream(source, selection)
-    except UnicodeDecodeError as err:
-        raise CsvFormatError(
-            f"input is not {err.encoding} text: byte "
-            f"{err.object[err.start]:#04x} cannot be decoded "
-            f"({err.reason})") from None
+            source = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            stack.callback(source.detach)  # leaves a caller's stream open
+        try:
+            return _read_csv_stream(source, selection)
+        except UnicodeDecodeError as err:
+            raise CsvFormatError(
+                f"input is not {err.encoding} text: byte "
+                f"{err.object[err.start]:#04x} cannot be decoded "
+                f"({err.reason})") from None
 
 
 def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
@@ -157,7 +164,7 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
     n_rows = 0
     for lines in iter(lambda: stream.readlines(_CHUNK_CHARS), []):
         text = "".join(lines)
-        if '"' in text or "\r" in text:
+        if '"' in text:
             # A quoted field may run past this chunk, so the per-cell
             # reader takes the rest of the stream.
             blocks.append(_parse_cells(chain(lines, stream), len(header),
@@ -173,8 +180,10 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
     if n_rows == 0:
         raise CsvFormatError("data section is empty")
 
-    columns = {name: np.concatenate([block[:, i] for block in blocks])
-               for i, name in enumerate(selection.names)}
+    # The chunk blocks are freed before Dataset copies the columns out.
+    table = np.concatenate(blocks)
+    blocks.clear()
+    columns = {name: table[:, i] for i, name in enumerate(selection.names)}
     for d in selection.derived:
         product = np.ones(n_rows)
         for factor in d.factors:
@@ -185,8 +194,8 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
 
 def _convert_chunk(lines: list[str], text: str, n_fields: int,
                    usecols: list[int]) -> np.ndarray | None:
-    """The selected cells of unquoted, ``\\n``-terminated CSV lines as an
-    (n, k) array, or None when the per-cell reader must decide.
+    """The selected cells of unquoted CSV lines as an (n, k) array, or
+    None when the per-cell reader must decide.
 
     None is returned for any chunk that reader might read differently:
     non-ASCII text, a separator that ``np.loadtxt`` strips but
@@ -200,7 +209,9 @@ def _convert_chunk(lines: list[str], text: str, n_fields: int,
     if len(text) > limit and max(map(len, lines)) > limit:
         return None
     # csv.reader skips blank lines, so they are not rows.
-    rows = [line for line in lines if line != "\n"] if "\n" in lines else lines
+    rows = lines
+    if "\n" in lines or "\r\n" in lines or "\r" in lines:
+        rows = [line for line in lines if line not in ("\n", "\r\n", "\r")]
     if not rows or set(map(str.count, rows, repeat(","))) != {n_fields - 1}:
         return None
     try:
@@ -340,11 +351,6 @@ REPORT_SCHEMA = {
 }
 
 
-def render_json(payload: Mapping) -> bytes:
-    """Serialize a report payload with a stable layout."""
-    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
-
-
 def _rotation_entry(rotation: RotationResult) -> dict:
     if rotation.ok:
         result = rotation.fit
@@ -419,7 +425,8 @@ def render(payload: Mapping, format: str) -> bytes:
             raise NonFiniteResultError(
                 f"report value {name} is {leaf!r}, not a finite number")
     if format == "json":
-        return render_json(payload)
+        return (json.dumps(payload, indent=2, allow_nan=False)
+                + "\n").encode("utf-8")
     lines = []
     for block in sorted(payload, key=lambda b: b != "rotations"):
         value = payload[block]

@@ -33,14 +33,14 @@ involved and pass it to :func:`solve`, :func:`fit_all_rotations` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LatregError, SingularSystemError
-from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice, det2,
-                      det3_general, lattice_over)
+from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice,
+                      checked_fsum, lattice_over, vertex_matrix_det)
 
 __all__ = [
     "ModelSpec",
@@ -105,7 +105,6 @@ class FitResult:
     denominator: float
     numerators: tuple[float, ...]
     sse: float
-    residuals: np.ndarray = field(repr=False)
     condition_flag: str
 
     def predict(self, data: Dataset) -> np.ndarray:
@@ -120,15 +119,12 @@ def _predict(coefficients, regressors, data: Dataset) -> np.ndarray:
     return out
 
 
-def _vertex_det(lat: Lattice, rows: Sequence[Direction],
-                cols: Sequence[Direction]) -> float:
-    """Determinant of the 1x1, 2x2 or 3x3 vertex matrix
-    M[i][j] = V(rows[i], cols[j])."""
-    if len(rows) == 1:
-        return lat.vertex(rows[0], cols[0])
-    if len(rows) == 2:
-        return det2(lat, rows[0], cols[0], rows[1], cols[1])
-    return det3_general(lat, rows, cols)
+def _residuals(coefficients, spec: ModelSpec,
+               data: Dataset) -> tuple[np.ndarray, float]:
+    """Per-row residuals of the response on ``data`` and their SSE."""
+    residuals = (data.evaluate(spec.response)
+                 - _predict(coefficients, spec.regressors, data))
+    return residuals, checked_fsum(residuals * residuals, "SSE of {!r}", spec)
 
 
 def _system(lat: Lattice, spec: ModelSpec):
@@ -141,8 +137,8 @@ def _system(lat: Lattice, spec: ModelSpec):
     resp = spec.response
     gram = [[lat.vertex(a, b) for b in regs] for a in regs]
     rhs = [lat.vertex(a, resp) for a in regs]
-    den = _vertex_det(lat, regs, regs)
-    nums = [_vertex_det(lat, regs, regs[:i] + (resp,) + regs[i + 1:])
+    den = vertex_matrix_det(lat, regs, regs)
+    nums = [vertex_matrix_det(lat, regs, regs[:i] + (resp,) + regs[i + 1:])
             for i in range(len(regs))]
     return gram, rhs, den, nums
 
@@ -167,15 +163,15 @@ def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
     ----------
     lat : Lattice
         Vertices over (at least) the spec's response and regressors;
-        residuals and SSE are taken over ``lat.source``.
+        the SSE is taken over ``lat.source``.
     spec : ModelSpec
         Response and 1 to 3 regressor directions.
 
     Returns
     -------
     FitResult
-        Coefficients with their determinant bookkeeping, residuals, and
-        SSE.  The result is flagged ``"near-singular"`` when the system
+        Coefficients with their determinant bookkeeping and the SSE.
+        The result is flagged ``"near-singular"`` when the system
         determinant falls below ``1e-9`` times the product of the Gram
         row norms but the solution still satisfies the normal equations.
 
@@ -201,18 +197,12 @@ def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
         coeffs = tuple(n / den for n in nums)
         flag = "well-posed"
 
-    data = lat.source
-    fitted = _predict(coeffs, spec.regressors, data)
-    residuals = data.evaluate(spec.response) - fitted
-    residuals.flags.writeable = False
-
     return FitResult(
         spec=spec,
         coefficients=coeffs,
         denominator=den,
         numerators=tuple(nums),
-        sse=math.fsum(residuals * residuals),
-        residuals=residuals,
+        sse=_residuals(coeffs, spec, lat.source)[1],
         condition_flag=flag,
     )
 
@@ -289,11 +279,11 @@ def residual_report(fit_result: FitResult, data: Dataset) -> dict:
     """
     if fit_result.condition_flag != "well-posed":
         raise ValueError("residual report requires a well-posed fit")
-    residuals = data.evaluate(fit_result.spec.response) - fit_result.predict(data)
+    residuals, sse = _residuals(fit_result.coefficients, fit_result.spec, data)
     report: dict = {
         "model": fit_result.spec.label,
         "residuals": residuals.tolist(),
-        "sse": math.fsum(residuals * residuals),
+        "sse": sse,
     }
     if fit_result.spec.is_non_response:
         # The response is the constant 1, so each residual is 1 - prediction.

@@ -213,17 +213,24 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
 
     values = {d: data.evaluate(d) for d in dirs}
     vertices: dict[tuple, float] = {}
-    try:
-        for i, a in enumerate(dirs):
-            for b in dirs[i:]:
-                vertices[_vertex_key(a, b)] = math.fsum(values[a] * values[b])
-    except (OverflowError, ValueError) as err:
-        # fsum raises, instead of returning an infinity, on finite sums
-        # that overflow midway and on products holding +inf and -inf.
-        raise NonFiniteResultError(
-            f"vertex V({a.label}, {b.label}) is outside the float range "
-            f"({err})") from None
+    for i, a in enumerate(dirs):
+        for b in dirs[i:]:
+            vertices[_vertex_key(a, b)] = checked_fsum(
+                values[a] * values[b], "vertex V({}, {})", a, b)
     return Lattice(data, dirs, vertices)
+
+
+def checked_fsum(values: np.ndarray, name: str, *labelled) -> float:
+    """:func:`math.fsum` of per-row values.  Where fsum raises instead of
+    returning an infinity (a finite sum that overflows midway, or +inf
+    and -inf together), a NonFiniteResultError names the sum: ``name``
+    formatted with the labels of ``labelled``."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as err:
+        name = name.format(*(x.label for x in labelled))
+        raise NonFiniteResultError(
+            f"{name} is outside the float range ({err})") from None
 
 
 def lattice_over(source: Dataset | Lattice,
@@ -270,6 +277,18 @@ def det2(lat: Lattice, a: Direction, b: Direction,
     return lat.vertex(a, b) * lat.vertex(c, d) - lat.vertex(a, d) * lat.vertex(c, b)
 
 
+def vertex_matrix_det(lat: Lattice, rows: Sequence[Direction],
+                      cols: Sequence[Direction]) -> float:
+    """Determinant of the 1x1, 2x2 or 3x3 vertex matrix
+    M[i][j] = V(rows[i], cols[j]): the vertex itself, :func:`det2` or
+    :func:`det3_general` (which refuses any other shape)."""
+    if len(rows) == len(cols) == 1:
+        return lat.vertex(rows[0], cols[0])
+    if len(rows) == len(cols) == 2:
+        return det2(lat, rows[0], cols[0], rows[1], cols[1])
+    return det3_general(lat, rows, cols)
+
+
 def det3_general(lat: Lattice, rows: Sequence[Direction],
                  cols: Sequence[Direction]) -> float:
     """3x3 determinant of the vertex matrix M[i][j] = V(rows[i], cols[j]).
@@ -297,9 +316,6 @@ class DeterminantKind:
     names are these subscripts: variance(x) is delta_11xx with
     subscripts (1, 1, x, x).  ``tag`` only names the kind.  Use the
     classmethod constructors.
-
-    Version 0.1.0 named the field ``directions`` and stored only the
-    constructor arguments, leaving the subscripts to a per-tag table.
     """
 
     tag: str
@@ -349,18 +365,11 @@ class DeterminantKind:
 
 
 def form_determinant(lat: Lattice, kind: DeterminantKind) -> float:
-    """Evaluate any member of the determinant family on a lattice.
-
-    Four subscripts give :func:`det2`, six give :func:`det3_general`
-    over rows ``subscripts[0::2]`` and columns ``subscripts[1::2]``.
+    """Evaluate any member of the determinant family on a lattice: the
+    :func:`vertex_matrix_det` over rows ``subscripts[0::2]`` and columns
+    ``subscripts[1::2]``.
     """
-    subs = kind.subscripts
-    if len(subs) == 4:
-        return det2(lat, *subs)
-    if len(subs) == 6:
-        return det3_general(lat, subs[0::2], subs[1::2])
-    raise ValueError(f"determinant kind {kind.tag!r} has {len(subs)} "
-                     "subscripts; expected 4 or 6")
+    return vertex_matrix_det(lat, kind.subscripts[0::2], kind.subscripts[1::2])
 
 
 def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:

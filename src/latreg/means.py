@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResultError, ZeroWeightError
-from .lattice import Dataset, Direction, UNITY
+from .errors import ZeroWeightError
+from .lattice import Dataset, Direction, UNITY, checked_fsum
 
 __all__ = [
     "MeanRequest",
@@ -48,16 +48,9 @@ def mean_operator(data: Dataset, req: MeanRequest) -> float:
     a, b = req.vertex
     weights = data.evaluate(a) * data.evaluate(b)
     target = data.evaluate(req.target)
-    try:
-        denominator = math.fsum(weights)
-        magnitude = math.fsum(np.abs(weights))
-        numerator = math.fsum(weights * target)
-    except (OverflowError, ValueError) as err:
-        # fsum raises, instead of returning an infinity, on finite sums
-        # that overflow midway and on products holding +inf and -inf.
-        raise NonFiniteResultError(
-            f"mean of {req.target.label} over vertex ({a.label}, {b.label}) "
-            f"is outside the float range ({err})") from None
+    denominator, magnitude, numerator = [
+        checked_fsum(v, "mean of {} over vertex ({}, {})", req.target, a, b)
+        for v in (weights, np.abs(weights), weights * target)]
     if abs(denominator) <= ZERO_WEIGHT_EPS * magnitude:
         raise ZeroWeightError(
             f"weight sum over vertex ({a.label}, {b.label}) is numerically zero")

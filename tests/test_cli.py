@@ -229,6 +229,26 @@ class TestNonFiniteResults:
         assert out == ""
         assert err.startswith(f"error: {named} is outside the float range")
 
+    @pytest.mark.parametrize("argv", [
+        ("rotate", "--columns", "x,y"),
+        ("fit", "--model", "y = 1 + x"),
+        ("measures", "--columns", "x,y"),
+        ("means", "--columns", "x,y"),
+    ])
+    def test_stderr_is_one_error_line(self, tmp_path, argv):
+        # No numpy overflow warning may precede the error line.
+        path = tmp_path / "mixed.csv"
+        path.write_text("x,y\n1e200,-1e200\n-1e200,1e200\n3e200,1e200\n",
+                        encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "latreg", *argv, "--input", str(path)],
+            capture_output=True, text=True)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.endswith("\n")
+
     def test_intermediate_overflow_is_data_error(self, capsys, tmp_path):
         # Finite values whose running sum overflows: math.fsum raises
         # OverflowError for V(1, x).
@@ -360,6 +380,21 @@ class TestContract:
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert len(payload["rotations"]) == 3
+
+    def test_stdin_decoded_like_a_path(self, tmp_path):
+        # A UTF-8 BOM and CRLF line ends, through stdin and through a path.
+        raw = "\ufeffx,y\r\n1,2\r\n2,3\r\n3,5\r\n".encode("utf-8")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        outputs = []
+        for source, stdin in ((str(path), None), ("-", raw)):
+            result = subprocess.run(
+                [sys.executable, "-m", "latreg", "rotate", "--input", source,
+                 "--columns", "x,y", "--format", "json"],
+                input=stdin, capture_output=True)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_subprocess_singular_exit(self, tmp_path):
         path = tmp_path / "dup.csv"

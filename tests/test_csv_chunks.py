@@ -44,19 +44,19 @@ def csv_documents(draw):
     """CSV text plus a column selection.
 
     Selected columns hold numbers and the others text or numbers.  Half
-    the documents also quote cells and end some lines in CRLF.  At most
-    one fault is injected: an invalid selected cell, or a row one field
-    short or long.
+    the documents also quote cells.  Lines, blank ones included, end in
+    LF, CRLF or CR, or in a mix of the three.  At most one fault is
+    injected: an invalid selected cell, or a row one field short or long.
     """
     n_fields = draw(st.integers(1, 4))
     header = [f"c{i}" for i in range(n_fields)]
     names = draw(st.permutations(header))[:draw(st.integers(1, n_fields))]
     number_cell, text_cell = numbers, numbers | st.sampled_from(TEXT_CELLS)
-    newline = st.just("\n")
+    newline = st.sampled_from(draw(st.sampled_from(
+        [["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]])))
     if draw(st.booleans()):
         number_cell = number_cell | st.sampled_from(QUOTED_NUMBERS)
         text_cell = text_cell | st.sampled_from(QUOTED_TEXT)
-        newline = st.sampled_from(["\n", "\n", "\r\n"])
 
     rows = [[draw(number_cell if name in names else text_cell)
              for name in header]
@@ -85,11 +85,12 @@ def csv_documents(draw):
     return "".join(lines), ColumnSelection(tuple(names))
 
 
-def outcome(text, selection):
-    """What a reader makes of ``text``: every column's bytes, or the
-    error's type, message, row and column."""
+def outcome(text, selection, newline=""):
+    """What a reader makes of ``text``, read through a StringIO with this
+    ``newline``: every column's bytes, or the error's type, message, row
+    and column."""
     try:
-        data = read_csv(io.StringIO(text, newline=""), selection)
+        data = read_csv(io.StringIO(text, newline=newline), selection)
     except LatregError as err:
         return (type(err).__name__, str(err), getattr(err, "row", None),
                 getattr(err, "column", None))
@@ -105,11 +106,11 @@ def field_size_limit(limit):
         csv.field_size_limit(previous)
 
 
-def per_cell_outcome(text, selection):
+def per_cell_outcome(text, selection, newline=""):
     """The reference: the whole input in one chunk, read per cell."""
     with mock.patch.object(dataio, "_CHUNK_CHARS", 1 << 30), \
             mock.patch.object(dataio, "_convert_chunk", return_value=None):
-        return outcome(text, selection)
+        return outcome(text, selection, newline)
 
 
 class TestChunkedMatchesPerCell:
@@ -130,15 +131,29 @@ class TestChunkedMatchesPerCell:
         selection = ColumnSelection(("x", "y"))
         assert outcome(text, selection) == per_cell_outcome(text, selection)
 
-    def test_clean_chunks_skip_the_per_cell_reader(self):
-        text = "x,t,y\n" + "".join(f"{i},w{i},{i / 7!r}\n\n"
-                                   for i in range(50))
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"],
+                             ids=["LF", "CRLF", "CR"])
+    def test_clean_chunks_skip_the_per_cell_reader(self, eol):
+        text = f"x,t,y{eol}" + "".join(f"{i},w{i},{i / 7!r}{eol}{eol}"
+                                       for i in range(50))
         with mock.patch.object(dataio, "_CHUNK_CHARS", 40), \
                 mock.patch.object(dataio, "_parse_cells",
                                   side_effect=AssertionError("per-cell")):
-            data = read_csv(io.StringIO(text), ColumnSelection(("y", "x")))
+            data = read_csv(io.StringIO(text, newline=""),
+                            ColumnSelection(("y", "x")))
         assert data.column("x").tolist() == [float(i) for i in range(50)]
         assert data.column("y").tolist() == [i / 7 for i in range(50)]
+
+    @pytest.mark.parametrize("line", ["1,2\r3,4\n", "1,2\r\r\n", "1\r,2\n",
+                                      "\r\r\n", "1,2\r"])
+    def test_carriage_return_inside_a_line(self, line):
+        # A StringIO without newline="" splits lines at "\n" only, so a
+        # "\r" can stand inside a line or before its end.
+        text = f"x,y\n5,6\n{line}7,8\n"
+        selection = ColumnSelection(("x", "y"))
+        with mock.patch.object(dataio, "_CHUNK_CHARS", 4):
+            chunked = outcome(text, selection, newline="\n")
+        assert chunked == per_cell_outcome(text, selection, newline="\n")
 
     def test_quoted_field_spanning_a_chunk_boundary(self):
         text = 'x,t\n1,a\n2,"b\nc,d"\n3,e\n4,f\n'
