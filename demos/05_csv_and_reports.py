@@ -1,15 +1,17 @@
 """CSV ingestion and report serialization, end to end.
 
-The same pipeline backs the `latreg` command line: read named columns
-(deriving interaction columns on the way in), fit the rotations, and
-serialize a report whose JSON numbers round-trip bit-exactly.
+The same pipeline backs the `latreg` command line: read named columns,
+build one lattice over their directions (an interaction such as
+pressure*wind is a direction too, never a stored column), fit the
+rotations, and serialize a report whose JSON numbers round-trip
+bit-exactly.
 """
 
 import io
 import json
 
-from latreg import (ColumnSelection, DerivedColumn, Direction, UNITY,
-                    fit_all_rotations, measure_catalog, read_csv,
+from latreg import (Direction, UNITY, build_lattice, fit_all_rotations,
+                    measure_catalog, parse_model, read_csv, solve,
                     write_report)
 
 CSV = """\
@@ -20,17 +22,23 @@ pressure,wind
 4.0,6.5
 """
 
-# Columns come in by header name only; xw is derived row-wise.
-selection = ColumnSelection(
-    names=("pressure", "wind"),
-    derived=(DerivedColumn("pw", ("pressure", "wind")),))
-data = read_csv(io.StringIO(CSV), selection)
+# Columns come in by header name only.
+data = read_csv(io.StringIO(CSV), ["pressure", "wind"])
 print("ingested:", data)
-print("derived pw column:", data.column("pw").tolist())
 
-rotations = fit_all_rotations(
-    data, [UNITY, Direction("pressure"), Direction("wind")])
-measures = measure_catalog(data, ["pressure", "wind"])
+# The product pressure*wind is a direction: the lattice evaluates it
+# row by row in its one data pass, next to the plain columns.
+pressure, wind = Direction("pressure"), Direction("wind")
+lat = build_lattice(data, [UNITY, pressure, wind, pressure * wind])
+print("lattice:", lat)
+print("V(1, pressure*wind) =", lat.vertex(UNITY, pressure * wind))
+
+# A model expression names the same direction as a product term.
+interaction = solve(lat, parse_model("wind = 1 + pressure + pressure*wind"))
+print("interaction model:", interaction.spec.label, interaction.coefficients)
+
+rotations = fit_all_rotations(lat, [UNITY, pressure, wind])
+measures = measure_catalog(lat, ["pressure", "wind"])
 
 print("\ntext report:\n")
 print(write_report(rotations, measures, format="text").decode("utf-8"))
@@ -49,4 +57,5 @@ print("round-trip bit-exact: ok")
 # The command line exposes the same reports:
 #   latreg rotate --input data.csv --columns pressure,wind --format json
 #   latreg fit --input data.csv --model "1 = pressure + wind"
+#   latreg fit --input data.csv --model "wind = 1 + pressure + pressure*wind"
 #   latreg measures --input data.csv --columns pressure,wind

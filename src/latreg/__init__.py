@@ -23,8 +23,7 @@ cli
     The ``latreg`` command-line front end.
 """
 
-from .dataio import (ColumnSelection, DerivedColumn, REPORT_SCHEMA, read_csv,
-                     write_csv, write_report)
+from .dataio import REPORT_SCHEMA, read_csv, render, write_csv, write_report
 from .errors import (ColumnNotFoundError, CsvFormatError, EmptyDataError,
                      FormulaError, LatregError, MissingVertexError,
                      NonFiniteResultError, SingularSystemError,
@@ -42,10 +41,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColumnNotFoundError",
-    "ColumnSelection",
     "CsvFormatError",
     "Dataset",
-    "DerivedColumn",
     "DeterminantKind",
     "Direction",
     "EmptyDataError",
@@ -73,6 +70,7 @@ __all__ = [
     "measure_catalog",
     "parse_model",
     "read_csv",
+    "render",
     "residual_report",
     "scaled_sigma",
     "self_weighting_mean",

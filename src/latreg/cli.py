@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .dataio import ColumnSelection, read_csv, render, write_report
+from .dataio import read_csv, render, write_report
 from .errors import FormulaError, LatregError, SingularSystemError
 from .estimators import RotationResult, fit_all_rotations, solve
 from .formula import parse_model
@@ -111,8 +111,7 @@ def _split_columns(raw: str, minimum: int, maximum: int) -> list[str]:
 def _load(args, columns: list[str]) -> Dataset:
     # stdin is read as bytes, which read_csv decodes as it decodes a path.
     stdin = getattr(sys.stdin, "buffer", sys.stdin)
-    return read_csv(stdin if args.input == "-" else args.input,
-                    ColumnSelection(names=tuple(columns)))
+    return read_csv(stdin if args.input == "-" else args.input, columns)
 
 
 def _emit(payload_bytes: bytes) -> None:

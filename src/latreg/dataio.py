@@ -1,13 +1,15 @@
 """CSV ingestion and structured report serialization.
 
 CSV files use a comma delimiter, optional quoting, UTF-8 text, and a
-mandatory header row; columns are selected by header name only, never
-by position, so a rotation report can never silently swap axes.  Values
-must parse as finite decimals with a ``.`` separator (scientific
-notation accepted, surrounding whitespace ignored); missing or malformed
-cells, digit-group underscores (``1_0``) and non-ASCII digits are
-errors, not imputed.  Text that cannot be decoded, and a record the
-:mod:`csv` module refuses (a field over its size limit), are errors too.
+mandatory header row.  Columns are selected by header name only, never
+by position, so a rotation report can never silently swap axes; a
+selected name must appear in the header exactly once.  A product such
+as x*y is a lattice direction, not a stored column.  Values must parse
+as finite decimals with a ``.`` separator (scientific notation
+accepted, surrounding whitespace ignored); missing or malformed cells,
+digit-group underscores (``1_0``) and non-ASCII digits are errors, not
+imputed.  Text that cannot be decoded, and a record the :mod:`csv`
+module refuses (a field over its size limit), are errors too.
 
 The header is read with :mod:`csv`.  Data lines are then read in chunks
 of about :data:`_CHUNK_CHARS` characters, and each chunk's selected
@@ -39,7 +41,6 @@ import io
 import json
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -51,8 +52,6 @@ from .estimators import RotationResult
 from .lattice import Dataset
 
 __all__ = [
-    "DerivedColumn",
-    "ColumnSelection",
     "read_csv",
     "write_csv",
     "render",
@@ -72,40 +71,9 @@ _CHUNK_CHARS = 1 << 16
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-@dataclass(frozen=True)
-class DerivedColumn:
-    """An interaction column computed row-wise as a product of selected
-    columns, e.g. ``DerivedColumn("xy", ("x", "y"))``."""
-
-    name: str
-    factors: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ColumnSelection:
-    """Header names to ingest plus derived interaction definitions."""
-
-    names: tuple[str, ...]
-    derived: tuple[DerivedColumn, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "derived", tuple(self.derived))
-        out_names = list(self.names) + [d.name for d in self.derived]
-        if len(set(out_names)) != len(out_names):
-            raise ValueError("duplicate output column names in selection")
-        known = set(self.names)
-        for d in self.derived:
-            missing = [f for f in d.factors if f not in known]
-            if missing:
-                raise ValueError(
-                    f"derived column {d.name!r} references unselected "
-                    f"column(s) {missing}")
-
-
 def read_csv(source: str | Path | IO[str] | IO[bytes],
-             selection: ColumnSelection) -> Dataset:
-    """Read selected columns (plus derived interactions) from CSV.
+             names: Sequence[str]) -> Dataset:
+    """Read the named columns from CSV.
 
     Parameters
     ----------
@@ -113,23 +81,33 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
         CSV input with a header row.  A path or a binary stream (such as
         ``sys.stdin.buffer``) is decoded as UTF-8, with or without a
         BOM, and its lines may end in LF, CRLF or CR.
-    selection : ColumnSelection
-        Columns to keep; every name must appear in the header.
+    names : sequence of str
+        Distinct header names of the columns to keep.  A product x*y is
+        no column but ``Direction("x", "y")``, evaluated by the lattice.
 
     Returns
     -------
     Dataset
-        Columns in selection order, derived columns appended.
+        The named columns, in the order of ``names``.
 
     Raises
     ------
+    TypeError
+        If ``names`` is a str, whose characters would each name a column.
+    ValueError
+        If ``names`` repeats a name.
     CsvFormatError
-        On a missing header name, a ragged row, a cell that is not a
-        finite ASCII decimal (reported with its data row and column), a
-        record the :mod:`csv` module refuses (such as a field over its
-        size limit, reported with its data row), text that cannot be
-        decoded, or an empty data section.
+        On a name the header lacks or repeats, a ragged row, a cell that
+        is not a finite ASCII decimal (reported with its data row and
+        column), a record the :mod:`csv` module refuses (such as a field
+        over its size limit, reported with its data row), text that
+        cannot be decoded, or an empty data section.
     """
+    if isinstance(names, str):
+        raise TypeError(f"names must be a sequence, not the str {names!r}")
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate output column names in selection")
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
             source = stack.enter_context(open(source, "rb"))
@@ -138,7 +116,7 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
             source = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
             stack.callback(source.detach)  # leaves a caller's stream open
         try:
-            return _read_csv_stream(source, selection)
+            return _read_csv_stream(source, names)
         except UnicodeDecodeError as err:
             raise CsvFormatError(
                 f"input is not {err.encoding} text: byte "
@@ -146,7 +124,7 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
                 f"({err.reason})") from None
 
 
-def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
+def _read_csv_stream(stream: IO[str], names: tuple[str, ...]) -> Dataset:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -154,11 +132,13 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
         raise CsvFormatError("input has no header row") from None
     except csv.Error as err:
         raise CsvFormatError(f"header row: {err}") from None
-    for name in selection.names:
-        if name not in header:
-            raise CsvFormatError(f"header has no column named {name!r}",
-                                 column=name)
-    usecols = [header.index(name) for name in selection.names]
+    for name in names:
+        if header.count(name) != 1:
+            raise CsvFormatError(
+                f"header has no column named {name!r}" if name not in header
+                else f"header names column {name!r} more than once",
+                column=name)
+    usecols = [header.index(name) for name in names]
 
     blocks = []
     n_rows = 0
@@ -168,13 +148,12 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
             # A quoted field may run past this chunk, so the per-cell
             # reader takes the rest of the stream.
             blocks.append(_parse_cells(chain(lines, stream), len(header),
-                                       usecols, selection.names, n_rows))
+                                       usecols, names, n_rows))
             n_rows += len(blocks[-1])
             break
         block = _convert_chunk(lines, text, len(header), usecols)
         if block is None:
-            block = _parse_cells(lines, len(header), usecols,
-                                 selection.names, n_rows)
+            block = _parse_cells(lines, len(header), usecols, names, n_rows)
         blocks.append(block)
         n_rows += len(block)
     if n_rows == 0:
@@ -183,13 +162,7 @@ def _read_csv_stream(stream: IO[str], selection: ColumnSelection) -> Dataset:
     # The chunk blocks are freed before Dataset copies the columns out.
     table = np.concatenate(blocks)
     blocks.clear()
-    columns = {name: table[:, i] for i, name in enumerate(selection.names)}
-    for d in selection.derived:
-        product = np.ones(n_rows)
-        for factor in d.factors:
-            product = product * columns[factor]
-        columns[d.name] = product
-    return Dataset(columns)
+    return Dataset({name: table[:, i] for i, name in enumerate(names)})
 
 
 def _convert_chunk(lines: list[str], text: str, n_fields: int,

@@ -26,6 +26,7 @@ accumulation would surface directly in the results.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -136,11 +137,11 @@ class Dataset:
 
     def evaluate(self, direction: Direction) -> np.ndarray:
         """Per-row values of a direction: the product of its factor
-        columns, or a vector of ones for unity."""
-        out = np.ones(self.n)
-        for factor in direction.factors:
-            out = out * self.column(factor)
-        return out
+        columns, or a vector of ones for unity.  A one-factor direction
+        gives its read-only column itself, not a copy."""
+        if direction.is_unity:
+            return np.ones(self.n)
+        return functools.reduce(np.multiply, map(self.column, direction.factors))
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, columns={list(self._columns)})"
@@ -176,7 +177,8 @@ class Lattice:
 
     def __repr__(self) -> str:
         return "Lattice(n={}, directions=[{}])".format(
-            self.source.n, ", ".join(d.label for d in self.directions))
+            int(self.vertex(UNITY, UNITY)),
+            ", ".join(d.label for d in self.directions))
 
 
 def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
@@ -235,25 +237,11 @@ def checked_fsum(values: np.ndarray, name: str, *labelled) -> float:
 
 def lattice_over(source: Dataset | Lattice,
                  directions: Sequence[Direction]) -> Lattice:
-    """A lattice caching every one of ``directions``.
-
-    A :class:`Lattice` is returned as it is, so that callers sharing one
-    lattice share its single data pass; a :class:`Dataset` gets a fresh
-    :func:`build_lattice` over ``directions``.
-
-    Raises
-    ------
-    MissingVertexError
-        If ``source`` is a lattice built without one of ``directions``.
-    """
-    if not isinstance(source, Lattice):
-        return build_lattice(source, directions)
-    missing = [d.label for d in directions if d not in source.directions]
-    if missing:
-        raise MissingVertexError(
-            "lattice has no direction(s) {}; rebuild it with every "
-            "direction the request needs".format(", ".join(missing)))
-    return source
+    """``source`` itself if it is a lattice, so that its callers share one
+    data pass (a vertex it lacks raises :class:`MissingVertexError` when
+    read), else a fresh :func:`build_lattice` over ``directions``."""
+    return (source if isinstance(source, Lattice)
+            else build_lattice(source, directions))
 
 
 def join(lat: Lattice, pairs: Sequence[tuple[Direction, Direction]]) -> float:
@@ -373,7 +361,8 @@ def form_determinant(lat: Lattice, kind: DeterminantKind) -> float:
 
 
 def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
-    """Determinant divided by n^2 (population-style scaling).
+    """Determinant divided by n^2 (population-style scaling), with n
+    read as V(1, 1).
 
     Only defined for the 2x2 kinds (variance, covariance, internal
     covariance, base variance and general2); the n^2 factor is exactly
@@ -381,8 +370,12 @@ def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
     """
     if len(kind.subscripts) != 4:
         raise ValueError(f"no sigma scaling for determinant kind {kind.tag!r}")
-    n = lat.source.n
-    return form_determinant(lat, kind) / float(n * n)
+    return _per_n2(lat, form_determinant(lat, kind))
+
+
+def _per_n2(lat: Lattice, value: float) -> float:
+    n = lat.vertex(UNITY, UNITY)  # n exactly, and n * n rounded once
+    return value / (n * n)
 
 
 def measure_catalog(source: Dataset | Lattice,
@@ -399,19 +392,21 @@ def measure_catalog(source: Dataset | Lattice,
     ``sigma_11xx`` for the delta / n^2 rescalings of the 2x2 kinds.
     Keys concatenate column names directly, so single-character column
     names read exactly like the subscripts.
+
+    Raises
+    ------
+    ValueError
+        If two entries would share one key, as when a column is named 1.
     """
     if len(columns) not in (2, 3):
         raise ValueError("measure catalog requires 2 or 3 columns")
     if len(set(columns)) != len(columns):
         raise ValueError("measure catalog columns must be distinct")
     dirs = [Direction(c) for c in columns]
-    lat = lattice_over(source, [UNITY, *dirs])
-
-    out: dict[str, float] = {}
     axes = [UNITY, *dirs]
-    for i, a in enumerate(axes):
-        for b in axes[i:]:
-            out[f"v_{a.label}{b.label}"] = lat.vertex(a, b)
+    lat = lattice_over(source, axes)
+    entries = [(f"v_{a.label}{b.label}", lat.vertex(a, b))
+               for i, a in enumerate(axes) for b in axes[i:]]
 
     pairs = list(itertools.combinations(dirs, 2))
     kinds = [DeterminantKind.variance(a) for a in dirs]
@@ -423,10 +418,16 @@ def measure_catalog(source: Dataset | Lattice,
     if len(dirs) == 3:
         kinds.append(DeterminantKind.form1(*dirs))
 
-    keys = ["".join(d.label for d in kind.subscripts) for kind in kinds]
-    for kind, key in zip(kinds, keys):
-        out["delta_" + key] = form_determinant(lat, kind)
-    for kind, key in zip(kinds, keys):
-        if len(kind.subscripts) == 4:
-            out["sigma_" + key] = scaled_sigma(lat, kind)
+    deltas = [("".join(d.label for d in kind.subscripts), kind,
+               form_determinant(lat, kind)) for kind in kinds]
+    entries += [("delta_" + key, value) for key, _, value in deltas]
+    entries += [("sigma_" + key, _per_n2(lat, value))
+                for key, kind, value in deltas if len(kind.subscripts) == 4]
+
+    out: dict[str, float] = {}
+    for key, value in entries:
+        if key in out:
+            raise ValueError(f"measure catalog key {key!r} names two "
+                             "entries; rename a column")
+        out[key] = value
     return out

@@ -187,6 +187,30 @@ class TestRotate:
         assert by_response["y"]["flag"] == "well-posed"
 
 
+class TestColumnRefusals:
+    @pytest.mark.parametrize("command", ["rotate", "measures"])
+    def test_column_named_like_unity_is_usage_error(self, capsys, tmp_path,
+                                                    command):
+        path = tmp_path / "one.csv"
+        path.write_text("1,x\n1,2\n2,3\n4,5\n", encoding="utf-8")
+        code, out, err = run(capsys, command, "--input", str(path),
+                             "--columns", "1,x")
+        assert code == 2
+        assert out == ""
+        assert "'v_11'" in err
+
+    @pytest.mark.parametrize("command", ["rotate", "measures", "means"])
+    def test_selected_name_twice_in_header_is_data_error(self, capsys,
+                                                         tmp_path, command):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,x,y\n1,2,3\n4,5,6\n7,8,10\n", encoding="utf-8")
+        code, out, err = run(capsys, command, "--input", str(path),
+                             "--columns", "x,y")
+        assert code == 3
+        assert out == ""
+        assert err == "error: header names column 'x' more than once\n"
+
+
 class TestNonFiniteResults:
     """Sums of products near 1e400 overflow; no report may print them."""
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latreg import ColumnSelection, CsvFormatError, LatregError, read_csv
+from latreg import CsvFormatError, LatregError, read_csv
 from latreg import dataio
 from latreg.cli import main
 
@@ -82,7 +82,7 @@ def csv_documents(draw):
         lines.append(",".join(row) + draw(newline))
     if draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\r\n")
-    return "".join(lines), ColumnSelection(tuple(names))
+    return "".join(lines), tuple(names)
 
 
 def outcome(text, selection, newline=""):
@@ -128,7 +128,7 @@ class TestChunkedMatchesPerCell:
     @pytest.mark.parametrize("cell", VALID_CELLS + INVALID_CELLS)
     def test_each_cell_in_a_plain_chunk(self, cell):
         text = f"x,y\n1,2\n3,{cell}\n4,5\n"
-        selection = ColumnSelection(("x", "y"))
+        selection = ("x", "y")
         assert outcome(text, selection) == per_cell_outcome(text, selection)
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"],
@@ -140,7 +140,7 @@ class TestChunkedMatchesPerCell:
                 mock.patch.object(dataio, "_parse_cells",
                                   side_effect=AssertionError("per-cell")):
             data = read_csv(io.StringIO(text, newline=""),
-                            ColumnSelection(("y", "x")))
+                            ("y", "x"))
         assert data.column("x").tolist() == [float(i) for i in range(50)]
         assert data.column("y").tolist() == [i / 7 for i in range(50)]
 
@@ -150,7 +150,7 @@ class TestChunkedMatchesPerCell:
         # A StringIO without newline="" splits lines at "\n" only, so a
         # "\r" can stand inside a line or before its end.
         text = f"x,y\n5,6\n{line}7,8\n"
-        selection = ColumnSelection(("x", "y"))
+        selection = ("x", "y")
         with mock.patch.object(dataio, "_CHUNK_CHARS", 4):
             chunked = outcome(text, selection, newline="\n")
         assert chunked == per_cell_outcome(text, selection, newline="\n")
@@ -160,7 +160,7 @@ class TestChunkedMatchesPerCell:
         # The first chunk ends inside the quoted field.
         with mock.patch.object(dataio, "_CHUNK_CHARS", 8):
             data = read_csv(io.StringIO(text, newline=""),
-                            ColumnSelection(("x",)))
+                            ("x",))
         assert data.column("x").tolist() == [1.0, 2.0, 3.0, 4.0]
 
     @pytest.mark.parametrize("bad_row", [2, 40])
@@ -170,7 +170,7 @@ class TestChunkedMatchesPerCell:
         text = "x,y\n" + "\n".join(rows) + "\n"
         with mock.patch.object(dataio, "_CHUNK_CHARS", 16):
             with pytest.raises(CsvFormatError) as excinfo:
-                read_csv(io.StringIO(text), ColumnSelection(("x", "y")))
+                read_csv(io.StringIO(text), ("x", "y"))
         assert excinfo.value.row == bad_row
         assert str(excinfo.value) == (f"row {bad_row} has 3 fields, "
                                       "header has 2")
@@ -191,7 +191,7 @@ class TestRefusedInput:
         path = tmp_path / "long.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(CsvFormatError) as excinfo:
-            read_csv(path, ColumnSelection(("x",)))
+            read_csv(path, ("x",))
         assert excinfo.value.row == row
         assert "field larger than field limit" in str(excinfo.value)
         code = main(["means", "--input", str(path), "--columns", "x"])
@@ -207,7 +207,7 @@ class TestRefusedInput:
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"x,y\n" + b"1,2\n" * good_lines + b"3,\xff4\n5,6\n")
         with pytest.raises(CsvFormatError) as excinfo:
-            read_csv(path, ColumnSelection(("x", "y")))
+            read_csv(path, ("x", "y"))
         assert "byte 0xff cannot be decoded" in str(excinfo.value)
         code = main(["rotate", "--input", str(path), "--columns", "x,y"])
         captured = capsys.readouterr()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latreg.lattice
 from latreg import (ColumnNotFoundError, Dataset, DeterminantKind, Direction,
-                    EmptyDataError, MissingVertexError, UNITY, build_lattice,
-                    det2, det3_general, form_determinant, join,
+                    EmptyDataError, Lattice, MissingVertexError, UNITY,
+                    build_lattice, det2, det3_general, form_determinant, join,
                     measure_catalog, scaled_sigma)
 
 from conftest import X, Y, Z, random_dataset, replicate
@@ -68,6 +69,11 @@ class TestDataset:
     def test_evaluate_directions(self, d1):
         assert d1.evaluate(UNITY).tolist() == [1.0, 1.0, 1.0]
         assert d1.evaluate(X * Y).tolist() == [2.0, 6.0, 15.0]
+
+    def test_evaluate_single_factor_is_the_column(self, d1):
+        # No copy per direction while a lattice is built.
+        assert d1.evaluate(X) is d1.column("x")
+        assert d1.evaluate(X * X * Y).tolist() == [2.0, 12.0, 45.0]
 
     def test_single_row_accepted(self):
         data = Dataset({"x": [7.0]})
@@ -300,6 +306,16 @@ class TestScaledSigma:
         with pytest.raises(ValueError):
             scaled_sigma(lat, DeterminantKind.form1(X, Y, Z))
 
+    def test_n_is_read_from_the_lattice(self):
+        n = 1001
+        data = Dataset({"x": np.arange(n, dtype=float) % 7})
+        lat = lattice_for(data, X)
+        rowless = Lattice(None, lat.directions, lat._vertices)
+        kind = DeterminantKind.variance(X)
+        assert scaled_sigma(rowless, kind) == (form_determinant(lat, kind)
+                                               / float(n * n))
+        assert repr(rowless) == repr(lat) == f"Lattice(n={n}, directions=[1, x])"
+
 
 class TestReplicationScaling:
     def test_vertex_det2_det3_scale(self, d2):
@@ -352,6 +368,36 @@ class TestMeasureCatalog:
             assert catalog[key] == form_determinant(lat, kind)
             if len(subscripts) == 4:
                 assert catalog["sigma_" + label] == scaled_sigma(lat, kind)
+
+    @pytest.mark.parametrize("columns, calls", [(["x", "y"], 6),
+                                                (["x", "y", "z"], 16)],
+                             ids=["2-columns", "3-columns"])
+    def test_each_determinant_evaluated_once(self, monkeypatch, d2, columns,
+                                             calls):
+        kinds = []
+        original = latreg.lattice.form_determinant
+
+        def counting(lat, kind):
+            kinds.append(kind)
+            return original(lat, kind)
+
+        monkeypatch.setattr(latreg.lattice, "form_determinant", counting)
+        catalog = measure_catalog(d2, columns)
+        assert len(kinds) == len(set(kinds)) == calls
+        assert sum(key.startswith("delta_") for key in catalog) == calls
+
+    def test_catalog_reads_only_the_lattice(self, d2):
+        lat = lattice_for(d2, X, Y, Z)
+        rowless = Lattice(None, lat.directions, lat._vertices)
+        assert (list(measure_catalog(rowless, ["x", "y", "z"]).items())
+                == list(measure_catalog(lat, ["x", "y", "z"]).items()))
+
+    def test_column_named_like_unity_rejected(self):
+        # Unity's label is "1", so both V(1, 1) and V(c, c) of a column
+        # named "1" would be the key v_11.
+        data = Dataset({"1": [1.0, 2.0, 4.0], "x": [2.0, 3.0, 5.0]})
+        with pytest.raises(ValueError, match="'v_11'"):
+            measure_catalog(data, ["1", "x"])
 
     def test_constant_columns_zero_variances(self):
         data = Dataset({"x": [2.0, 2.0, 2.0], "y": [7.0, 7.0, 7.0]})
