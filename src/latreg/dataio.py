@@ -106,8 +106,9 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
     if isinstance(names, str):
         raise TypeError(f"names must be a sequence, not the str {names!r}")
     names = tuple(names)
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate output column names in selection")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"column {name!r} is selected more than once")
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
             source = stack.enter_context(open(source, "rb"))
@@ -140,28 +141,35 @@ def _read_csv_stream(stream: IO[str], names: tuple[str, ...]) -> Dataset:
                 column=name)
     usecols = [header.index(name) for name in names]
 
-    blocks = []
+    # Every chunk's rows go into one table that ndarray.resize grows in
+    # place (realloc; no view of it exists meanwhile), so no chunk's block
+    # outlives its chunk.  Blocks kept to the end and then freed left the
+    # heap fragmented, and peak RSS then followed the heap's layout.
+    table = np.empty((0, len(names)))
     n_rows = 0
     for lines in iter(lambda: stream.readlines(_CHUNK_CHARS), []):
         text = "".join(lines)
-        if '"' in text:
+        quoted = '"' in text
+        if quoted:
             # A quoted field may run past this chunk, so the per-cell
             # reader takes the rest of the stream.
-            blocks.append(_parse_cells(chain(lines, stream), len(header),
-                                       usecols, names, n_rows))
-            n_rows += len(blocks[-1])
-            break
-        block = _convert_chunk(lines, text, len(header), usecols)
-        if block is None:
-            block = _parse_cells(lines, len(header), usecols, names, n_rows)
-        blocks.append(block)
+            block = _parse_cells(chain(lines, stream), len(header), usecols,
+                                 names, n_rows)
+        else:
+            block = _convert_chunk(lines, text, len(header), usecols)
+            if block is None:
+                block = _parse_cells(lines, len(header), usecols, names,
+                                     n_rows)
+        if n_rows + len(block) > len(table):
+            table.resize((max(2 * len(table), n_rows + len(block)),
+                          len(names)), refcheck=False)
+        table[n_rows:n_rows + len(block)] = block
         n_rows += len(block)
+        if quoted:
+            break
     if n_rows == 0:
         raise CsvFormatError("data section is empty")
-
-    # The chunk blocks are freed before Dataset copies the columns out.
-    table = np.concatenate(blocks)
-    blocks.clear()
+    table.resize((n_rows, len(names)), refcheck=False)
     return Dataset({name: table[:, i] for i, name in enumerate(names)})
 
 

@@ -96,6 +96,9 @@ def simulate_convergence(seed: int, n: int, mu: float, sigma: float,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if trials < 1:

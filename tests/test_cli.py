@@ -210,6 +210,15 @@ class TestColumnRefusals:
         assert out == ""
         assert err == "error: header names column 'x' more than once\n"
 
+    @pytest.mark.parametrize("command", ["rotate", "measures", "means"])
+    def test_column_selected_twice_is_usage_error(self, capsys, d1_path,
+                                                  command):
+        code, out, err = run(capsys, command, "--input", d1_path,
+                             "--columns", "x,x")
+        assert code == 2
+        assert out == ""
+        assert err == "error: column 'x' is selected more than once\n"
+
 
 class TestNonFiniteResults:
     """Sums of products near 1e400 overflow; no report may print them."""
@@ -338,6 +347,17 @@ class TestSimulate:
         assert code == 2
         code, _, _ = run(capsys, "simulate", "--seed", "1", "--trials", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--sigma", "nan"), ("--sigma", "inf"), ("--mu", "inf"),
+        ("--mu", "nan")])
+    def test_non_finite_parameter_is_named(self, capsys, option, value):
+        code, out, err = run(capsys, "simulate", "--seed", "1", "--trials",
+                             "1", option, value)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {option[2:]} must be finite, "
+                       f"got {float(value)!r}\n")
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

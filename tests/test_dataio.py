@@ -113,6 +113,13 @@ class TestColumnNames:
         with pytest.raises(ValueError):
             parse(D1_CSV, ("x", "x"))
 
+    @pytest.mark.parametrize("names", [("x", "x"), ("x", "y", "x"),
+                                       ("y", "x", "x")])
+    def test_repeated_name_is_named(self, names):
+        with pytest.raises(ValueError,
+                           match="^column 'x' is selected more than once$"):
+            parse(D1_CSV, names)
+
     def test_bare_string_refused(self):
         # "xy" would otherwise select the columns x and y.
         with pytest.raises(TypeError):

@@ -137,6 +137,13 @@ class TestSimulateConvergence:
         stats = simulate_convergence(seed=1, n=2, mu=0.5, sigma=1.0, trials=1)
         assert stats["trials"] == 1
 
+    @pytest.mark.parametrize("mu, sigma, named", [
+        (0.0, math.nan, "sigma"), (0.0, math.inf, "sigma"),
+        (math.inf, 1.0, "mu"), (-math.inf, 1.0, "mu"), (math.nan, 1.0, "mu")])
+    def test_non_finite_parameter_is_named(self, mu, sigma, named):
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            simulate_convergence(seed=1, n=10, mu=mu, sigma=sigma, trials=1)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             simulate_convergence(seed=1, n=1, mu=0.0, sigma=1.0, trials=1)
