@@ -11,6 +11,7 @@ be opened), 3 data error, 4 singular system.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -94,6 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_simulate)
+    # Read -1e3 and -inf as values, not options (argparse knows -5, -.5).
+    p._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
     return parser
 
@@ -127,16 +131,17 @@ def _cmd_measures(args) -> int:
 
 def _cmd_means(args) -> int:
     columns = _split_columns(args.columns, 1, 3)
-    data = _load(args, columns)
-    standard = {c: standard_mean(data, c) for c in columns}
-    self_weighting = {c: self_weighting_mean(data, c) for c in columns}
+    lat = build_lattice(_load(args, columns),
+                        [UNITY, *map(Direction, columns)])
+    standard = {c: standard_mean(lat, c) for c in columns}
+    self_weighting = {c: self_weighting_mean(lat, c) for c in columns}
     random_weighted: dict[str, dict[str, float]] = {}
     for target in columns:
         for weight in columns:
             if weight == target:
                 continue
             random_weighted.setdefault(target, {})[weight] = weighted_mean(
-                data, target, weight)
+                lat, target, weight)
     _emit(render({"means": {
         "standard": standard,
         "self_weighting": self_weighting,

@@ -255,16 +255,16 @@ def write_csv(data: Dataset) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+#: A block of numbers by name, as in the ``measures`` block.
+_NUMBERS = {"type": "object", "additionalProperties": {"type": "number"}}
+
 #: JSON schema for every report this package emits.  Commands fill the
 #: blocks they produce; all blocks are optional but strictly typed.
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
-        "measures": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
+        "measures": _NUMBERS,
         "rotations": {
             "type": "array",
             "items": {
@@ -305,28 +305,15 @@ REPORT_SCHEMA = {
         "means": {
             "type": "object",
             "properties": {
-                "standard": {
-                    "type": "object",
-                    "additionalProperties": {"type": "number"},
-                },
-                "self_weighting": {
-                    "type": "object",
-                    "additionalProperties": {"type": "number"},
-                },
+                "standard": _NUMBERS,
+                "self_weighting": _NUMBERS,
                 "randomly_weighted": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "object",
-                        "additionalProperties": {"type": "number"},
-                    },
+                    "type": "object", "additionalProperties": _NUMBERS,
                 },
             },
             "additionalProperties": False,
         },
-        "simulation": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
+        "simulation": _NUMBERS,
     },
     "additionalProperties": False,
 }

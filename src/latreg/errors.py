@@ -24,7 +24,7 @@ class MissingVertexError(LatregError):
 
 
 class ZeroWeightError(LatregError):
-    """The weight sum in a mean-operator denominator is numerically zero."""
+    """The weight sum V(a, b) in a mean-operator denominator is zero."""
 
 
 class NonFiniteResultError(LatregError):

@@ -22,8 +22,8 @@ Each vertex is the correctly rounded sum of the per-row products,
 which are themselves already rounded to float; the determinant formulas
 subtract near-equal products, so sloppier accumulation would surface
 directly in the results.  :func:`checked_fsum` takes every such sum
-(vertices, and the SSEs and means of the other modules) with the bits
-of :func:`math.fsum`: a short array goes to ``math.fsum`` itself, a
+(the vertices, which the means read, and the SSEs of the fits) with the
+bits of :func:`math.fsum`: a short array goes to ``math.fsum`` itself, a
 long one to an exact binned accumulator (Neal, arXiv:1505.05571;
 Demmel & Nguyen, ARITH 2013) that splits each value into two floats,
 adds them per exponent in float bins that stay exact, and rounds the
@@ -149,6 +149,10 @@ class Dataset:
             return np.ones(self.n)
         return functools.reduce(np.multiply, map(self.column, direction.factors))
 
+    def vertex(self, a: Direction, b: Direction) -> float:
+        """V(a, b) summed from the rows, as :func:`build_lattice` sums it."""
+        return _vertex_sum(a, b, self.evaluate(a), self.evaluate(b))
+
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, columns={list(self._columns)})"
 
@@ -223,9 +227,13 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     vertices: dict[tuple, float] = {}
     for i, a in enumerate(dirs):
         for b in dirs[i:]:
-            vertices[_vertex_key(a, b)] = checked_fsum(
-                values[a] * values[b], "vertex V({}, {})", a, b)
+            vertices[_vertex_key(a, b)] = _vertex_sum(a, b, values[a], values[b])
     return Lattice(data, dirs, vertices)
+
+
+def _vertex_sum(a: Direction, b: Direction, a_values, b_values) -> float:
+    """V(a, b) from the per-row values of a and b; an overflow names it."""
+    return checked_fsum(a_values * b_values, "vertex V({}, {})", a, b)
 
 
 #: Rows below which ``math.fsum`` over a list beats the binned kernel:

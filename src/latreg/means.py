@@ -1,10 +1,15 @@
 """The vertex-based mean operator and its weighted-mean families.
 
-Starting from a vertex (a, b) and estimating in direction d, the mean
-operator is sum(a*b*d) / sum(a*b).  Vertex (1, 1) gives the standard
-mean, vertex (1, x) in direction x gives the self-weighting mean
-sum(x^2)/sum(x), and vertex (1, w) in direction x gives the mean of x
-randomly weighted by another measure w.
+From a vertex (a, b) in direction d the mean operator is V(a*b, d) /
+V(a, b) = sum(a*b*d) / sum(a*b).  Vertex (1, 1) gives the standard mean
+V(1, x) / V(1, 1), vertex (1, x) in direction x the self-weighting mean
+V(x, x) / V(1, x), and vertex (1, w) in direction x the mean of x
+randomly weighted by another measure w, V(w, x) / V(1, w).  The vertices
+come from a :class:`Lattice`, so that a request's means share its one
+data pass, or from a :class:`Dataset`, which sums each from its rows.
+When a*b has at most two factors, as in every mean the command line
+prints, the result is sum(a_i*b_i*d_i) / sum(a_i*b_i), both sums
+correctly rounded.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroWeightError
-from .lattice import Dataset, Direction, UNITY, checked_fsum
+from .lattice import Dataset, Direction, Lattice, UNITY, build_lattice
 
 __all__ = [
     "MeanRequest",
@@ -26,9 +31,6 @@ __all__ = [
     "simulate_convergence",
 ]
 
-#: Relative floor under which a weight sum counts as zero.
-ZERO_WEIGHT_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class MeanRequest:
@@ -38,46 +40,42 @@ class MeanRequest:
     target: Direction
 
 
-def mean_operator(data: Dataset, req: MeanRequest) -> float:
-    """Weighted mean sum(a*b*d) / sum(a*b) for vertex (a, b), target d.
+def mean_operator(source: Dataset | Lattice, req: MeanRequest) -> float:
+    """Weighted mean V(a*b, d) / V(a, b) for vertex (a, b), target d,
+    read from a dataset or from a lattice that caches both vertices.
 
-    Sums are compensated.  Raises :class:`ZeroWeightError` when the
-    denominator is zero relative to the total weight magnitude,
-    |sum(ab)| <= 1e-12 * sum(|ab|), which also covers all-zero weights.
+    Raises :class:`ZeroWeightError` when V(a, b), a correctly rounded
+    sum, is 0: for vertex (1, w), when the weights sum to exactly 0.
     """
     a, b = req.vertex
-    weights = data.evaluate(a) * data.evaluate(b)
-    target = data.evaluate(req.target)
-    denominator, magnitude, numerator = [
-        checked_fsum(v, "mean of {} over vertex ({}, {})", req.target, a, b)
-        for v in (weights, np.abs(weights), weights * target)]
-    if abs(denominator) <= ZERO_WEIGHT_EPS * magnitude:
+    denominator = source.vertex(a, b)
+    if denominator == 0:
         raise ZeroWeightError(
             f"weight sum over vertex ({a.label}, {b.label}) is numerically zero")
-    return numerator / denominator
+    return source.vertex(a * b, req.target) / denominator
 
 
-def standard_mean(data: Dataset, col: str) -> float:
+def standard_mean(source: Dataset | Lattice, col: str) -> float:
     """Plain mean of a column: the mean operator from vertex (1, 1)."""
-    return mean_operator(data, MeanRequest((UNITY, UNITY), Direction(col)))
+    return mean_operator(source, MeanRequest((UNITY, UNITY), Direction(col)))
 
 
-def self_weighting_mean(data: Dataset, col: str) -> float:
+def self_weighting_mean(source: Dataset | Lattice, col: str) -> float:
     """sum(x^2) / sum(x): the mean of x weighted by x itself.
 
     Equals the reciprocal of the least squares coefficient of the
     implicit model 1 = alpha * x.  Raises :class:`ZeroWeightError` when
-    sum(x) is numerically zero.
+    sum(x) is zero.
     """
     d = Direction(col)
-    return mean_operator(data, MeanRequest((UNITY, d), d))
+    return mean_operator(source, MeanRequest((UNITY, d), d))
 
 
-def weighted_mean(data: Dataset, col: str, weight_col: str) -> float:
+def weighted_mean(source: Dataset | Lattice, col: str, weight_col: str) -> float:
     """Mean of ``col`` using another column as random weights:
     sum(x*w) / sum(w)."""
     return mean_operator(
-        data, MeanRequest((UNITY, Direction(weight_col)), Direction(col)))
+        source, MeanRequest((UNITY, Direction(weight_col)), Direction(col)))
 
 
 def simulate_convergence(seed: int, n: int, mu: float, sigma: float,
@@ -86,11 +84,11 @@ def simulate_convergence(seed: int, n: int, mu: float, sigma: float,
     standard mean.
 
     Each trial draws x ~ Normal(mu, sigma) of length n and independent
-    weights ~ Uniform(0, 1), then records |weighted mean - standard mean|
-    and |self-weighting mean - standard mean|.  For large mu relative to
-    sigma both deviations are small: the random-weight deviation scales
-    like sigma * sqrt(sum(w^2)) / sum(w) and the self-weighting deviation
-    like sigma^2 / mu.
+    weights ~ Uniform(0, 1), builds one lattice over (1, x, w) and records
+    |weighted mean - standard mean| and |self-weighting mean - standard
+    mean|.  For large mu relative to sigma both deviations are small: the
+    random-weight deviation scales like sigma * sqrt(sum(w^2)) / sum(w)
+    and the self-weighting deviation like sigma^2 / mu.
 
     Deterministic for a given seed (numpy PCG64 generator).
     """
@@ -107,13 +105,15 @@ def simulate_convergence(seed: int, n: int, mu: float, sigma: float,
     random_devs = []
     self_devs = []
     for _ in range(trials):
-        data = Dataset({
-            "x": rng.normal(mu, sigma, n),
-            "w": rng.uniform(0.0, 1.0, n),
-        })
-        xbar = standard_mean(data, "x")
-        random_devs.append(abs(weighted_mean(data, "x", "w") - xbar))
-        self_devs.append(abs(self_weighting_mean(data, "x") - xbar))
+        x = rng.normal(mu, sigma, n)
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"draws from Normal(mu={mu!r}, sigma={sigma!r}) "
+                             "overflow the float range")
+        data = Dataset({"x": x, "w": rng.uniform(0.0, 1.0, n)})
+        lat = build_lattice(data, [UNITY, Direction("x"), Direction("w")])
+        xbar = standard_mean(lat, "x")
+        random_devs.append(abs(weighted_mean(lat, "x", "w") - xbar))
+        self_devs.append(abs(self_weighting_mean(lat, "x") - xbar))
     return {
         "seed": int(seed),
         "n": int(n),

@@ -246,7 +246,7 @@ class TestNonFiniteResults:
         (("rotate", "--columns", "x,y"), "vertex V(x, y)"),
         (("fit", "--model", "y = 1 + x"), "vertex V(x, y)"),
         (("measures", "--columns", "x,y"), "vertex V(x, y)"),
-        (("means", "--columns", "x,y"), "mean of x over vertex (1, y)"),
+        (("means", "--columns", "x,y"), "vertex V(x, y)"),
     ])
     def test_mixed_sign_overflow_is_data_error(self, capsys, tmp_path, argv,
                                                named, fmt):
@@ -318,6 +318,7 @@ class TestOneLatticePerRequest:
         ("fit", "--model", "1 = x + y + x*y"),
         ("fit", "--model", "1 = x + y + z"),
         ("measures", "--columns", "x,y,z"),
+        ("means", "--columns", "x,y,z"),
     ])
     def test_single_build(self, capsys, d2_path, builds, argv):
         code, _, _ = run(capsys, *argv, "--input", d2_path, "--format", "json")
@@ -363,6 +364,31 @@ class TestSimulate:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate"])
         assert excinfo.value.code == 2
+
+    def test_overflowing_draws_name_the_parameters(self, capsys):
+        code, out, err = run(capsys, "simulate", "--seed", "1", "--trials",
+                             "1", "--n", "10", "--mu", "1.7e308",
+                             "--sigma", "1e308")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: draws from Normal(mu=1.7e+308, sigma=1e+308) "
+                       "overflow the float range\n")
+
+    @pytest.mark.parametrize("argv, mu", [
+        (("--mu", "-1e3"), -1e3), (("--mu", "-1.5E-2"), -1.5e-2),
+        (("--mu", "-5"), -5.0), (("--mu", "-.5"), -0.5),
+        (("--mu=-1e3",), -1e3)])
+    def test_negative_mu_is_a_value(self, capsys, argv, mu):
+        code, out, _ = run(capsys, "simulate", "--seed", "1", "--n", "10",
+                           "--trials", "1", "--format", "json", *argv)
+        assert code == 0
+        assert json.loads(out)["simulation"]["mu"] == mu
+
+    def test_negative_infinity_is_named(self, capsys):
+        code, out, err = run(capsys, "simulate", "--seed", "1", "--mu", "-inf")
+        assert code == 2
+        assert out == ""
+        assert err == "error: mu must be finite, got -inf\n"
 
 
 class TestMeans:

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, with
+Python's development mode on and every warning an error."""
 
 import os
 import subprocess
@@ -16,6 +17,7 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=ROOT,
+        env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -198,6 +198,7 @@ class TestPipeline:
             for b in dirs:
                 expected = math.fsum(large.evaluate(a) * large.evaluate(b))
                 assert same_bits(lat.vertex(a, b), expected)
+                assert same_bits(large.vertex(a, b), expected)
 
     def test_sse(self, large):
         lat = build_lattice(large, [UNITY, X, Y, Z])
@@ -212,8 +213,11 @@ class TestPipeline:
         weights = large.evaluate(vertex[0]) * large.evaluate(vertex[1])
         expected = (math.fsum(weights * large.evaluate(target))
                     / math.fsum(weights))
-        assert same_bits(mean_operator(large, MeanRequest(vertex, target)),
-                         expected)
+        req = MeanRequest(vertex, target)
+        assert same_bits(mean_operator(large, req), expected)
+        lat = build_lattice(large, [UNITY, target, *vertex,
+                                    vertex[0] * vertex[1]])
+        assert same_bits(mean_operator(lat, req), expected)
 
     def test_cli_rotate_matches_library(self, large, tmp_path, capsys):
         path = tmp_path / "large.csv"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latreg import (Dataset, Direction, MeanRequest, UNITY, ZeroWeightError,
-                    mean_operator, self_weighting_mean, simulate_convergence,
-                    standard_mean, weighted_mean)
+from latreg import (Dataset, Direction, MeanRequest, MissingVertexError,
+                    UNITY, ZeroWeightError, build_lattice, mean_operator,
+                    self_weighting_mean, simulate_convergence, standard_mean,
+                    weighted_mean)
 
 from conftest import X, Y
 
@@ -34,6 +35,23 @@ class TestMeanOperator:
         data = Dataset({"x": [1.0, -1.0], "y": [3.0, 4.0]})
         with pytest.raises(ZeroWeightError):
             mean_operator(data, MeanRequest(vertex=(UNITY, X), target=Y))
+
+    def test_weight_sum_near_zero_is_not_zero(self):
+        # sum(w) = 2^-40 is tiny next to sum(|w|) = 2, but not zero.
+        data = Dataset({"x": [3.0, 4.0], "w": [1.0, -1.0 + 2.0**-40]})
+        assert weighted_mean(data, "x", "w") == -2.0**40 + 4
+        lat = build_lattice(data, [UNITY, X, Direction("w")])
+        assert weighted_mean(lat, "x", "w") == -2.0**40 + 4
+
+    def test_exact_zero_sum_on_lattice(self):
+        lat = build_lattice(Dataset({"x": [1.0, -1.0]}), [UNITY, X])
+        with pytest.raises(ZeroWeightError, match=r"vertex \(1, x\)"):
+            self_weighting_mean(lat, "x")
+
+    def test_lattice_without_the_vertex(self, d1):
+        lat = build_lattice(d1, [UNITY, X])
+        with pytest.raises(MissingVertexError):
+            weighted_mean(lat, "x", "y")
 
     def test_all_zero_weights(self):
         data = Dataset({"x": [0.0, 0.0], "y": [3.0, 4.0]})
@@ -143,6 +161,12 @@ class TestSimulateConvergence:
     def test_non_finite_parameter_is_named(self, mu, sigma, named):
         with pytest.raises(ValueError, match=f"^{named} must be finite"):
             simulate_convergence(seed=1, n=10, mu=mu, sigma=sigma, trials=1)
+
+    def test_overflowing_draws_name_the_parameters(self):
+        with pytest.raises(ValueError, match=r"^draws from Normal\(mu=1\.7e\+308, "
+                           r"sigma=1e\+308\) overflow the float range$"):
+            simulate_convergence(seed=1, n=10, mu=1.7e308, sigma=1e308,
+                                 trials=1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
