@@ -23,14 +23,14 @@ for rotation in rotations:
     result = rotation.fit
     coeffs = ", ".join(f"{c:.6f}" for c in result.coefficients)
     print(f"{result.spec.label:12s} coefficients ({coeffs})  "
-          f"sse {result.sse:.4f}  [{result.condition_flag}]")
+          f"sse {result.sse:.4f}")
 
 # The y rotation reproduces the classic normal-equations solution.
 design = np.column_stack([np.ones(n), x_values])
 lstsq_coef, *_ = np.linalg.lstsq(design, y_values, rcond=None)
 print("\nnumpy lstsq for y on (1, x):", np.round(lstsq_coef, 6))
 
-# Residual reports expose the per-row errors of any well-posed fit.
+# Residual reports expose the per-row errors of any fit.
 y_fit = rotations[1].fit
 report = residual_report(y_fit, data)
 print("first five residuals:", np.round(report["residuals"][:5], 4))

@@ -14,8 +14,6 @@ import argparse
 import re
 import sys
 
-import numpy as np
-
 from .dataio import read_csv, render, write_report
 from .errors import FormulaError, LatregError, SingularSystemError
 from .estimators import RotationResult, fit_all_rotations, solve
@@ -204,9 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # An overflow is refused below as a data error, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except FormulaError as err:
         _print_formula_error(err, getattr(args, "model", ""))
         return EXIT_USAGE

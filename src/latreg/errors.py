@@ -28,15 +28,13 @@ class ZeroWeightError(LatregError):
 
 
 class NonFiniteResultError(LatregError):
-    """A report would carry nan or an infinity, typically because sums
-    of products of the data overflow the float range."""
+    """An exact result is outside the float range when rounded, or a
+    report would carry nan or an infinity."""
 
 
 class SingularSystemError(LatregError):
-    """The normal equations are singular or numerically unusable.
-
-    The offending system determinant is kept on the ``determinant``
-    attribute so callers can report it.
+    """The normal equations are singular: the exact system determinant,
+    kept on the ``determinant`` attribute, is 0.
     """
 
     def __init__(self, message: str, determinant: float):

@@ -9,18 +9,15 @@ role in turn.
 
 Coefficients come from Cramer's rule on the normal equations
 G c = r with G[i][j] = V(reg_i, reg_j) and r[i] = V(reg_i, response):
-each coefficient is the ratio of a column-replaced determinant to the
-system determinant, both evaluated through the lattice operators.  A
-sign note for the simple line y on x: the slope numerator used here is
-the covariance determinant n sum(xy) - sum(x) sum(y) (column
-replacement in the second column), which is the textbook least squares
-slope numerator; the same determinant with its unity column reversed is
-its exact negation and is not what Cramer's rule produces.
+each is the ratio of a column-replaced determinant to the system
+determinant.  For the line y on x the slope numerator is the covariance
+determinant n sum(xy) - sum(x) sum(y), the textbook one; the same
+determinant with its unity column reversed is its exact negation.
 
-Coefficients and determinants read only vertices, so one lattice
-serves a whole request: build it once over all the directions
-involved and pass it to :func:`solve`, :func:`fit_all_rotations` and
-:func:`latreg.lattice.measure_catalog`::
+Coefficients, determinants and the SSE read only the exact vertices of
+:mod:`latreg.lattice` and are rounded once, so a system is singular
+exactly when its determinant is 0, and no fit reads the rows.  One
+lattice serves a whole request::
 
     lat = build_lattice(data, [UNITY, x, y])
     line = solve(lat, ModelSpec(response=y, regressors=(UNITY, x)))
@@ -33,14 +30,15 @@ involved and pass it to :func:`solve`, :func:`fit_all_rotations` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LatregError, SingularSystemError
 from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice,
-                      checked_fsum, lattice_over, vertex_matrix_det)
+                      exact_det, lattice_over, rounded)
 
 __all__ = [
     "ModelSpec",
@@ -51,9 +49,6 @@ __all__ = [
     "fit_all_rotations",
     "residual_report",
 ]
-
-#: Relative determinant floor below which a system counts as near-singular.
-SINGULAR_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,129 +87,84 @@ class ModelSpec:
 class FitResult:
     """Outcome of a Cramer's-rule fit.
 
-    ``coefficients[i] * denominator == numerators[i]`` by construction;
-    ``denominator`` is the system determinant (for the classic cases:
-    the variance determinant for an explicit simple line, the base
-    variance for the two-regressor implicit model) and ``numerators``
-    are the column-replaced determinants in regressor order.
-    ``condition_flag`` is ``"well-posed"`` or ``"near-singular"``.
+    ``coefficients[i] * denominator == numerators[i]`` exactly;
+    ``denominator`` is the system determinant (the variance determinant
+    for an explicit simple line, the base variance for the two-regressor
+    implicit model) and ``numerators`` are the column-replaced
+    determinants in regressor order, held as ``(integer, exponent)``.
+    ``sse`` is the exact sum of squared residuals of the reported
+    coefficients, from the lattice.  Each value is rounded once when
+    first read; one outside the float range raises
+    :class:`~latreg.errors.NonFiniteResultError` naming it.
     """
 
     spec: ModelSpec
-    coefficients: tuple[float, ...]
-    denominator: float
-    numerators: tuple[float, ...]
-    sse: float
-    condition_flag: str
+    lattice: Lattice = field(repr=False, compare=False)
+    exact_denominator: tuple[int, int]
+    exact_numerators: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def denominator(self) -> float:
+        return rounded(*self.exact_denominator, "denominator of {0.label!r}",
+                       self.spec)
+
+    @cached_property
+    def numerators(self) -> tuple[float, ...]:
+        return tuple(rounded(*num, "numerator {0} of {1.label!r}", i, self.spec)
+                     for i, num in enumerate(self.exact_numerators))
+
+    @cached_property
+    def coefficients(self) -> tuple[float, ...]:
+        den, den_exp = self.exact_denominator
+        return tuple(rounded(num, exp - den_exp, "coefficient {0} of {1.label!r}",
+                             i, self.spec, den=den)
+                     for i, (num, exp) in enumerate(self.exact_numerators))
+
+    @cached_property
+    def sse(self) -> float:
+        """w' V w over (response, regressors) with w = (1, -c_1, ...,
+        -c_k): sum_i (r_i - sum_j c_j x_ij)^2, exactly."""
+        lat = self.lattice
+        dirs = (self.spec.response, *self.spec.regressors)
+        weights = [(1, 1)] + [(-c).as_integer_ratio() for c in self.coefficients]
+        # w_d 2^e_d = m_d 2^low, with a power-of-two denominator q: 2^(1 - q.bit_length()).
+        scaled = [(m, lat.exponent(d) + 1 - q.bit_length())
+                  for (m, q), d in zip(weights, dirs)]
+        low = min(e for _, e in scaled)
+        w = [m << (e - low) for m, e in scaled]
+        total = sum(w[i] * w[j] * lat.exact(a, b)
+                    for i, a in enumerate(dirs) for j, b in enumerate(dirs))
+        return rounded(total, 2 * low, "SSE of {0.label!r}", self.spec)
 
     def predict(self, data: Dataset) -> np.ndarray:
         """Fitted values of the response direction on ``data``."""
-        return _predict(self.coefficients, self.spec.regressors, data)
-
-
-def _predict(coefficients, regressors, data: Dataset) -> np.ndarray:
-    out = np.zeros(data.n)
-    for c, reg in zip(coefficients, regressors):
-        out = out + c * data.evaluate(reg)
-    return out
-
-
-def _residuals(coefficients, spec: ModelSpec,
-               data: Dataset) -> tuple[np.ndarray, float]:
-    """Per-row residuals of the response on ``data`` and their SSE."""
-    residuals = (data.evaluate(spec.response)
-                 - _predict(coefficients, spec.regressors, data))
-    return residuals, checked_fsum(residuals * residuals, "SSE of {!r}", spec)
-
-
-def _system(lat: Lattice, spec: ModelSpec):
-    """Gram matrix, right side, denominator and numerator determinants.
-
-    The numerator of coefficient i is the system determinant with
-    column i replaced by the response (Cramer's rule).
-    """
-    regs = spec.regressors
-    resp = spec.response
-    gram = [[lat.vertex(a, b) for b in regs] for a in regs]
-    rhs = [lat.vertex(a, resp) for a in regs]
-    den = vertex_matrix_det(lat, regs, regs)
-    nums = [vertex_matrix_det(lat, regs, regs[:i] + (resp,) + regs[i + 1:])
-            for i in range(len(regs))]
-    return gram, rhs, den, nums
-
-
-def _consistent(gram, rhs, coeffs) -> bool:
-    """Check that the candidate solution still satisfies G c = r."""
-    if not all(math.isfinite(c) for c in coeffs):
-        return False
-    scale_c = max(abs(c) for c in coeffs)
-    for row, r in zip(gram, rhs):
-        lhs = math.fsum(g * c for g, c in zip(row, coeffs))
-        scale = abs(r) + math.hypot(*row) * scale_c
-        if abs(lhs - r) > 1e-6 * max(scale, 1e-300):
-            return False
-    return True
+        out = np.zeros(data.n)
+        for c, reg in zip(self.coefficients, self.spec.regressors):
+            out = out + c * data.evaluate(reg)
+        return out
 
 
 def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
-    """Fit a model by Cramer's rule over an existing vertex lattice.
-
-    Parameters
-    ----------
-    lat : Lattice
-        Vertices over (at least) the spec's response and regressors;
-        the SSE is taken over ``lat.source``.
-    spec : ModelSpec
-        Response and 1 to 3 regressor directions.
-
-    Returns
-    -------
-    FitResult
-        Coefficients with their determinant bookkeeping and the SSE.
-        The result is flagged ``"near-singular"`` when the system
-        determinant falls below ``1e-9`` times the product of the Gram
-        row norms but the solution still satisfies the normal equations.
-
-    Raises
-    ------
-    SingularSystemError
-        When the determinant is below the threshold and no consistent
-        solution exists (exactly collinear regressors, for instance).
-    MissingVertexError
-        When the lattice lacks one of the spec's directions.
-    """
-    gram, rhs, den, nums = _system(lat, spec)
-    threshold = SINGULAR_RTOL * math.prod(math.hypot(*row) for row in gram)
-
-    if abs(den) <= threshold:
-        coeffs = tuple(n / den for n in nums) if den != 0.0 else None
-        if coeffs is None or not _consistent(gram, rhs, coeffs):
-            raise SingularSystemError(
-                f"singular normal equations for {spec.label!r} "
-                f"(determinant {den!r})", determinant=den)
-        flag = "near-singular"
-    else:
-        coeffs = tuple(n / den for n in nums)
-        flag = "well-posed"
-
-    return FitResult(
-        spec=spec,
-        coefficients=coeffs,
-        denominator=den,
-        numerators=tuple(nums),
-        sse=_residuals(coeffs, spec, lat.source)[1],
-        condition_flag=flag,
-    )
+    """Fit a model by Cramer's rule over a lattice that caches its
+    directions (:class:`~latreg.errors.MissingVertexError` otherwise); no
+    row is read.  Raises :class:`SingularSystemError` when the exact
+    system determinant is 0 (collinear regressors)."""
+    regs, resp = spec.regressors, spec.response
+    den = exact_det(lat, regs, regs)
+    if den[0] == 0:
+        raise SingularSystemError(
+            f"singular normal equations for {spec.label!r} (determinant 0.0)",
+            determinant=0.0)
+    # Cramer's rule: numerator i replaces regressor column i by the response.
+    nums = tuple(exact_det(lat, regs, regs[:i] + (resp,) + regs[i + 1:])
+                 for i in range(len(regs)))
+    return FitResult(spec, lat, den, nums)
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
-    """Fit one model: :func:`solve` on a lattice built over unity and the
-    spec's directions.
-
-    Raises what :func:`solve` raises, and
-    :class:`~latreg.errors.ColumnNotFoundError` when a direction names a
-    missing column.
-    """
+    """:func:`solve` on a lattice built over unity and the spec's
+    directions; a missing column raises
+    :class:`~latreg.errors.ColumnNotFoundError`."""
     return solve(build_lattice(data, [UNITY, *spec.regressors, spec.response]),
                  spec)
 
@@ -237,16 +187,12 @@ def fit_all_rotations(source: Dataset | Lattice,
     """Fit every rotation of a direction set.
 
     Each direction takes the response role in turn with all the others
-    as regressors, keeping the given order.  Rotations are emitted in
-    the given direction order with the unity rotation last.  A rotation
-    that fails (singular system) is carried in place with its error
-    rather than aborting the sweep; any other error aborts it.
-
-    ``directions`` must hold 3 or 4 distinct directions including unity.
-    ``source`` is a dataset, over which one lattice is built, or a
-    lattice that already caches every direction
-    (:class:`~latreg.errors.MissingVertexError` otherwise); every
-    rotation is solved on that one lattice.
+    as regressors, keeping the given order; the unity rotation comes
+    last.  A singular rotation is carried in place with its error; any
+    other error aborts the sweep.  ``directions`` must hold 3 or 4
+    distinct directions including unity.  ``source`` is a dataset, over
+    which one lattice is built, or a lattice that caches every direction
+    (:class:`~latreg.errors.MissingVertexError` otherwise).
     """
     dirs = list(directions)
     if len(dirs) not in (3, 4):
@@ -270,22 +216,22 @@ def fit_all_rotations(source: Dataset | Lattice,
 
 
 def residual_report(fit_result: FitResult, data: Dataset) -> dict:
-    """Per-row residuals and error sums for a well-posed fit.
+    """Per-row residuals and error sums for a fit.
 
     Returns a mapping with deterministic key order: ``"model"``,
-    ``"residuals"``, ``"sse"``, and for non-response fits additionally
+    ``"residuals"``, ``"sse"`` (:func:`math.fsum` of the squared per-row
+    residuals), and for non-response fits additionally
     ``"system_error"``, the error in the system sum(1 - sum_j c_j reg_j)^2
     (identical to the SSE there, since the response is the constant 1).
     """
-    if fit_result.condition_flag != "well-posed":
-        raise ValueError("residual report requires a well-posed fit")
-    residuals, sse = _residuals(fit_result.coefficients, fit_result.spec, data)
+    spec = fit_result.spec
+    residuals = data.evaluate(spec.response) - fit_result.predict(data)
     report: dict = {
-        "model": fit_result.spec.label,
+        "model": spec.label,
         "residuals": residuals.tolist(),
-        "sse": sse,
+        "sse": math.fsum((residuals * residuals).tolist()),
     }
-    if fit_result.spec.is_non_response:
+    if spec.is_non_response:
         # The response is the constant 1, so each residual is 1 - prediction.
         report["system_error"] = report["sse"]
     return report

@@ -18,23 +18,22 @@ covers the variance family (for instance det2(1,1,x,x) = n sum(x^2) -
 sum(x)^2, which is n^2 times the population variance), and 3x3
 determinants over a vertex matrix cover the three-regressor systems.
 
-Each vertex is the correctly rounded sum of the per-row products,
-which are themselves already rounded to float; the determinant formulas
-subtract near-equal products, so sloppier accumulation would surface
-directly in the results.  :func:`checked_fsum` takes every such sum
-(the vertices, which the means read, and the SSEs of the fits) with the
-bits of :func:`math.fsum`: a short array goes to ``math.fsum`` itself, a
-long one to an exact binned accumulator (Neal, arXiv:1505.05571;
-Demmel & Nguyen, ARITH 2013) that splits each value into two floats,
-adds them per exponent in float bins that stay exact, and rounds the
-total of the bins once.
+Every vertex is exact: a Python integer times 2^(e_a + e_b), summed by
+:func:`build_lattice` from 20-bit limbs of the data held as float64, in
+matrix products whose partial sums are all integers below 2^53 (the
+error-free splitting of Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
+59, 2012).  Determinants, means and fits built from the vertices are
+exact and rounded once, when read; only that rounding can leave the
+float range, and then a :class:`NonFiniteResultError` names the value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -122,7 +121,7 @@ class Dataset:
             elif arr.shape[0] != n:
                 raise ValueError(
                     f"column {name!r} has length {arr.shape[0]}, expected {n}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"column {name!r} contains non-finite values")
             arr.flags.writeable = False
             cols[name] = arr
@@ -142,171 +141,221 @@ class Dataset:
             raise ColumnNotFoundError(name) from None
 
     def evaluate(self, direction: Direction) -> np.ndarray:
-        """Per-row values of a direction: the product of its factor
-        columns, or a vector of ones for unity.  A one-factor direction
-        gives its read-only column itself, not a copy."""
+        """Per-row values of a direction: the product of its factor columns
+        (a one-factor direction's read-only column itself), or ones."""
         if direction.is_unity:
             return np.ones(self.n)
         return functools.reduce(np.multiply, map(self.column, direction.factors))
-
-    def vertex(self, a: Direction, b: Direction) -> float:
-        """V(a, b) summed from the rows, as :func:`build_lattice` sums it."""
-        return _vertex_sum(a, b, self.evaluate(a), self.evaluate(b))
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, columns={list(self._columns)})"
 
 
-def _vertex_key(a: Direction, b: Direction) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return (a.factors, b.factors) if a.factors <= b.factors else (b.factors, a.factors)
+def rounded(num: int, exp: int, name: str, *args, den: int = 1) -> float:
+    """``num * 2**exp / den`` for integers ``num`` and ``den != 0``,
+    correctly rounded once; outside the float range a
+    :class:`NonFiniteResultError` names it as ``name.format(*args)``."""
+    try:
+        return (num << exp) / den if exp >= 0 else num / (den << -exp)
+    except OverflowError:
+        raise NonFiniteResultError(
+            f"{name.format(*args)} is outside the float range") from None
 
 
 class Lattice:
-    """Cached pairwise vertex sums V(a, b) over a dataset.
-
-    Built eagerly by :func:`build_lattice`; immutable afterwards.  Each
-    vertex combines exactly two directions, though the directions
-    themselves may be products, so interaction terms induce higher-order
-    sums.
+    """Exact pairwise vertices V(a, b) over a dataset, built by
+    :func:`build_lattice`; immutable.  The directions may be products, so
+    interaction terms induce higher-order sums.  V(a, b) is the integer
+    ``exact(a, b)`` times 2^(``exponent(a)`` + ``exponent(b)``).
     """
 
-    def __init__(self, source: Dataset, directions: Sequence[Direction],
-                 vertices: Mapping[tuple, float]):
-        self.source = source
+    def __init__(self, directions: Sequence[Direction],
+                 vertices: Mapping[tuple, int], exponents: Mapping[tuple, int]):
         self.directions = tuple(directions)
-        self._vertices = dict(vertices)
+        self._vertices = vertices
+        self._exponents = exponents
 
-    def vertex(self, a: Direction, b: Direction) -> float:
-        """V(a, b); symmetric in its arguments."""
+    def exact(self, a: Direction, b: Direction) -> int:
+        """V(a, b) / 2^(exponent(a) + exponent(b)); symmetric."""
         try:
-            return self._vertices[_vertex_key(a, b)]
+            return self._vertices[a.factors, b.factors]
         except KeyError:
             raise MissingVertexError(
                 f"vertex ({a.label}, {b.label}) is not cached; "
                 "rebuild the lattice with both directions") from None
 
+    def exponent(self, d: Direction) -> int:
+        """The binary exponent e_d of a cached direction."""
+        return self._exponents[d.factors]
+
+    def vertex(self, a: Direction, b: Direction) -> float:
+        """V(a, b), rounded once; symmetric."""
+        return rounded(self.exact(a, b), self.exponent(a) + self.exponent(b),
+                       "vertex V({0.label}, {1.label})", a, b)
+
     def __repr__(self) -> str:
         return "Lattice(n={}, directions=[{}])".format(
-            int(self.vertex(UNITY, UNITY)),
+            self.exact(UNITY, UNITY),
             ", ".join(d.label for d in self.directions))
 
 
+#: Bits per limb.  A product of two limbs is at most 2^40, so a float64
+#: sum of ``_BLOCK_ROWS`` = 2^11 of them is an integer below 2^53: exact.
+_LIMB_BITS = 20
+
+#: Rows summed by one matrix product; a block's temporaries stay small.
+_BLOCK_ROWS = 1 << 11
+
+
 def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
-    """Compute all pairwise vertices over ``directions``.
+    """Compute all pairwise vertices over ``directions``, exactly.
 
-    Parameters
-    ----------
-    data : Dataset
-        Source observations.
-    directions : sequence of Direction
-        Axes to cache, which must be non-empty and include unity.
-        Duplicates are dropped, order otherwise preserved.
-
-    Returns
-    -------
-    Lattice
-        Symmetric vertex cache; V(a, b) available for every pair.
-
-    Raises
-    ------
-    ColumnNotFoundError
-        If a direction names a column missing from ``data``.
-    ValueError
-        If ``directions`` is empty or unity is missing.
+    ``directions`` must be non-empty and include unity (else
+    ``ValueError``); duplicates are dropped.  Each column is read once,
+    in blocks of ``_BLOCK_ROWS`` rows, where each value of column c is an
+    integer multiple of 2^e_c, e_c the ulp of the block's smallest
+    nonzero magnitude.  Those integers are split into limbs, a product
+    direction's limbs are multiplied out from its factors', and one
+    matrix product sums every pair of limbs over the block.  The block's
+    vertices go into Python integers at the lowest exponent any block
+    needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
-    dirs: list[Direction] = []
-    for d in directions:
-        if d not in dirs:
-            dirs.append(d)
-    if not dirs:
+    keyed = {d.factors: d for d in directions}
+    if not keyed:
         raise ValueError("directions must be non-empty")
-    if UNITY not in dirs:
+    if () not in keyed:
         raise ValueError("directions must include unity")
 
-    values = {d: data.evaluate(d) for d in dirs}
-    vertices: dict[tuple, float] = {}
-    for i, a in enumerate(dirs):
-        for b in dirs[i:]:
-            vertices[_vertex_key(a, b)] = _vertex_sum(a, b, values[a], values[b])
-    return Lattice(data, dirs, vertices)
+    names = list(dict.fromkeys(f for key in keyed for f in key))
+    columns = [data.column(name) for name in names]
+    factors = tuple(tuple(map(names.index, key)) for key in keyed)
+    totals = low = None  # low: each direction's exponent in totals
+    for start in range(0, data.n, _BLOCK_ROWS):
+        block = np.array([c[start:start + _BLOCK_ROWS] for c in columns])
+        sums, exps, pairs = _block_vertices(
+            block.reshape(len(columns), min(_BLOCK_ROWS, data.n - start)),
+            factors)
+        if totals is None:
+            totals, low = sums, exps
+            continue
+        new = list(map(min, low, exps))
+        totals = [(t << low[i] - new[i] + low[j] - new[j])
+                  + (v << exps[i] - new[i] + exps[j] - new[j])
+                  for t, v, (i, j) in zip(totals, sums, pairs)]
+        low = new
+    keys = list(keyed)
+    vertices = {}
+    for t, (i, j) in zip(totals, pairs):
+        vertices[keys[i], keys[j]] = vertices[keys[j], keys[i]] = t
+    return Lattice(keyed.values(), vertices, dict(zip(keys, low)))
 
 
-def _vertex_sum(a: Direction, b: Direction, a_values, b_values) -> float:
-    """V(a, b) from the per-row values of a and b; an overflow names it."""
-    return checked_fsum(a_values * b_values, "vertex V({}, {})", a, b)
+def _block_vertices(values: np.ndarray, factors):
+    """For one block of column values (a row per column) and each
+    direction's factors as row numbers: per pair (i, j), i <= j, of
+    directions the integer V(i, j) / 2^(e_i + e_j), per direction e_d
+    (the sum of its factors'), and the pairs."""
+    magnitude = np.abs(values)
+    lows = magnitude.min(axis=1).tolist()
+    if 0.0 in lows:
+        lows = magnitude.min(axis=1, initial=math.inf,
+                             where=magnitude > 0).tolist()
+    exps, bits = [], 0
+    for top, low in zip(magnitude.max(axis=1).tolist(), lows):
+        # A normal |v| < 2^k is a multiple of 2^(k - 53), a subnormal of 2^-1074.
+        e = max(math.frexp(low)[1] - 53, -1074) if top else 0
+        exps.append(e)
+        bits = max(bits, math.frexp(top)[1] - e)
+    limbs = max(1, -(-bits // _LIMB_BITS))
+    m, n = values.shape
+    starts, widths, size, pairs, terms, bounds, ends, lower = _layout(
+        factors, m, limbs)
+    rows = np.empty((size, n))
+    rows[0] = 1.0
+
+    # Limb k of v 2^-e is trunc(v 2^-(e + 20k)) - 2^20 trunc(v 2^-(e + 20(k + 1))),
+    # the top one the first term alone, since |v| < 2^(e + 20 limbs).  Powers
+    # of two past 2^1023 take a second factor; a factor rounds only a level
+    # below 1, which trunc takes to 0.  A level that overflows, or 2^20 times
+    # which does, lies above its value's top bit: it and its limb are 0.
+    digits = rows[1:1 + m * limbs].reshape(m, limbs, n)
+    shifts = [-(e + _LIMB_BITS * k) for e in exps for k in range(limbs)]
+    with (np.errstate(over="ignore", invalid="ignore") if bits > 1023
+          else contextlib.nullcontext()):
+        np.multiply(values.reshape(m, 1, n), np.array(
+            [2.0 ** min(s, 1023) for s in shifts]).reshape(m, limbs, 1), out=digits)
+        if min(exps, default=0) < -1023:
+            digits *= np.array([2.0 ** max(s - 1023, 0)
+                                for s in shifts]).reshape(m, limbs, 1)
+        np.trunc(digits, out=digits)
+        if bits > 1023:
+            digits[~np.isfinite(digits)] = 0.0
+        rows[1:m * limbs] -= lower * rows[2:1 + m * limbs]
+        if bits > 1023:
+            digits[~np.isfinite(digits)] = 0.0
+    for d, f in enumerate(factors):
+        if len(f) > 1:
+            # The sign of a product of the signs never overflows.
+            np.copysign(functools.reduce(_limb_product, np.abs(digits[list(f)])),
+                        np.prod(np.sign(values[list(f)]), axis=0),
+                        out=rows[starts[d]:starts[d] + widths[d]])
+    gram = (rows @ rows.T).astype(np.int64).reshape(-1)
+    diagonals = np.add.reduceat(gram[terms], bounds).tolist()
+    return ([sum(map(operator.lshift, diagonals[a:b], _STEPS))
+             for a, b in zip(ends, ends[1:])],
+            [sum(map(exps.__getitem__, f)) for f in factors], pairs)
 
 
-#: Rows below which ``math.fsum`` over a list beats the binned kernel:
-#: on products of correlated columns the two cost about the same, 30 to
-#: 37 us a sum on 2 vCPUs, at 704 to 768 rows.
-_KERNEL_MIN_ROWS = 768
-
-#: Values per ``np.bincount`` call of the kernel; its temporaries stay
-#: in cache and peak memory stays flat in n.
-_BLOCK_ROWS = 1 << 13
-
-#: Low mantissa bits split off each value.  The high part keeps the other
-#: 53 - 26 significant bits, so a float bin adds 2^26 high parts exactly,
-#: and the 26-bit low parts more; the bins are flushed before that.
-_SPLIT_BITS = 26
+#: Shifts of successive limbs: 0, 20, 40, ...
+_STEPS = range(0, 1 << 20, _LIMB_BITS)
 
 
-def checked_fsum(values: np.ndarray, name: str, *labelled) -> float:
-    """:func:`math.fsum` of per-row float64 values, with its bits.
+@functools.lru_cache(maxsize=256)
+def _layout(factors, m, limbs):
+    """Where each direction's limb rows lie in a block (unity, each
+    column, each product), and which Gram entries make each pair's vertex:
+    the sum over limbs p, q of entry (p, q) 2^(20(p + q)).  ``terms`` lists
+    flat entries by pair, then by p + q; those of one p + q start at
+    ``bounds`` and sum exactly in int64 (a few hundred, each below 2^53);
+    ``ends`` bounds each pair's run of sums.  ``lower`` holds, for each
+    column limb row but the last, 2^20 if the next row is the next limb
+    of the same column and 0 if not."""
+    widths = [limbs * len(f) or 1 for f in factors]
+    starts = [1 + f[0] * limbs if len(f) == 1 else 0 for f in factors]
+    pairs = [(i, j) for i in range(len(factors)) for j in range(i, len(factors))]
+    size = 1 + m * limbs
+    for d, f in enumerate(factors):
+        if len(f) > 1:
+            starts[d], size = size, size + widths[d]
+    terms, bounds, ends = [], [], [0]
+    for i, j in pairs:
+        for k in range(widths[i] + widths[j] - 1):
+            bounds.append(len(terms))
+            terms += [(starts[i] + p) * size + starts[j] + k - p
+                      for p in range(max(0, k - widths[j] + 1), min(k, widths[i] - 1) + 1)]
+        ends.append(len(bounds))
+    lower = [2.0 ** _LIMB_BITS * bool((r + 1) % limbs) for r in range(m * limbs - 1)]
+    return (tuple(starts), tuple(widths), size, tuple(pairs), np.array(terms),
+            np.array(bounds), tuple(ends), np.array(lower).reshape(-1, 1))
 
-    Below ``_KERNEL_MIN_ROWS`` values this is ``math.fsum`` over a list.
-    Longer arrays go to an exact binned kernel, which returns the same
-    correctly rounded sum unless the array holds inf or nan, or its
-    absolute sum could reach 2^1020 (n times its largest magnitude);
-    then ``math.fsum`` decides, so its overflow and ``-inf + inf``
-    outcomes are unchanged.  Where fsum raises instead of returning an
-    infinity (a finite sum that overflows midway, or +inf and -inf
-    together), a NonFiniteResultError names the sum: ``name`` formatted
-    with the labels of ``labelled``.
-    """
-    try:
-        if len(values) < _KERNEL_MIN_ROWS:
-            return math.fsum(values.tolist())
-        return _binned_sum(values)
-    except (OverflowError, ValueError) as err:
-        name = name.format(*(x.label for x in labelled))
-        raise NonFiniteResultError(
-            f"{name} is outside the float range ({err})") from None
 
-
-def _binned_sum(values: np.ndarray) -> float:
-    """Exact sum of ``values`` rounded once, by exponent bins.
-
-    Each value v with biased exponent e splits into hi, v with its low
-    ``_SPLIT_BITS`` mantissa bits cleared, and lo = v - hi, both exact.
-    Every hi (every lo) in bin e is a small integer multiple of one power
-    of two, so a float bin sums them without rounding until it holds
-    2^_SPLIT_BITS of them; the bins are moved to a list before that.
-    ``math.fsum`` of the exact bin sums is the correctly rounded total.
-    Falls back to ``math.fsum(values)`` at the first block holding a
-    non-finite value or an exponent that lets the absolute sum reach
-    2^1020, before any bin could overflow.
-    """
-    n = len(values)
-    bits = values.view(np.int64)
-    high_mask = ~np.int64((1 << _SPLIT_BITS) - 1)
-    top_exponent = 2042 - n.bit_length()  # n * 2^(e - 1022) < 2^1020
-    flush_blocks = (1 << _SPLIT_BITS) // _BLOCK_ROWS
-    bins = np.zeros((2, 2048))
-    parts: list[float] = []
-    for block, start in enumerate(range(0, n, _BLOCK_ROWS), 1):
-        chunk = bits[start:start + _BLOCK_ROWS]
-        exponents = (chunk >> 52) & 0x7FF
-        if exponents.max() > top_exponent:
-            return math.fsum(values)
-        hi = (chunk & high_mask).view(np.float64)
-        bins[0] += np.bincount(exponents, weights=hi, minlength=2048)
-        bins[1] += np.bincount(exponents, minlength=2048,
-                               weights=values[start:start + _BLOCK_ROWS] - hi)
-        if block % flush_blocks == 0:
-            parts += bins[bins != 0].tolist()
-            bins[:] = 0.0
-    return math.fsum(parts + bins[bins != 0].tolist())
+def _limb_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Limbs of the product of two nonnegative limb arrays (a row per
+    limb, least significant first), each at most 2^_LIMB_BITS: carrying
+    all limbs at once reaches that bound in a few rounds, and the top
+    limb never carries out."""
+    out = np.zeros((len(a) + len(b), a.shape[1]))
+    term = np.empty_like(b)
+    for i, row in enumerate(a):
+        out[i:i + len(b)] += np.multiply(b, row, out=term)  # below 2^53
+    carry = np.empty_like(out)
+    while out.max(initial=0.0) > 2.0 ** _LIMB_BITS:
+        np.floor(np.multiply(out, 2.0 ** -_LIMB_BITS, out=carry), out=carry)
+        carry *= 2.0 ** _LIMB_BITS
+        out -= carry
+        carry *= 2.0 ** -_LIMB_BITS
+        out[1:] += carry[:-1]
+    return out
 
 
 def lattice_over(source: Dataset | Lattice,
@@ -319,52 +368,63 @@ def lattice_over(source: Dataset | Lattice,
 
 
 def join(lat: Lattice, pairs: Sequence[tuple[Direction, Direction]]) -> float:
-    """Product of two or three cached vertex values.
-
-    ``join(lat, [(a, b), (c, d)])`` is the two-vertex join
-    V(a,b) * V(c,d); a third pair gives the three-vertex join used by the
-    3x3 determinants.
-    """
+    """Product of two or three cached vertex values, rounded once:
+    ``join(lat, [(a, b), (c, d)])`` is V(a,b) V(c,d), and a third pair
+    gives the three-vertex join of the 3x3 determinants."""
     if len(pairs) not in (2, 3):
         raise ValueError(f"join takes 2 or 3 vertex pairs, got {len(pairs)}")
-    return math.prod(lat.vertex(a, b) for a, b in pairs)
+    return rounded(math.prod(lat.exact(a, b) for a, b in pairs),
+                   sum(lat.exponent(a) + lat.exponent(b) for a, b in pairs),
+                   "join {}", " ".join(f"V({a.label}, {b.label})" for a, b in pairs))
 
 
 def det2(lat: Lattice, a: Direction, b: Direction,
          c: Direction, d: Direction) -> float:
-    """Signed difference of joins: V(a,b) V(c,d) - V(a,d) V(c,b).
+    """Signed difference of joins V(a,b) V(c,d) - V(a,d) V(c,b), rounded
+    once; antisymmetric: det2(a,b,c,d) = -det2(a,d,c,b)."""
+    return vertex_matrix_det(lat, (a, c), (b, d))
 
-    Antisymmetric under swapping b and d: det2(a,b,c,d) = -det2(a,d,c,b).
-    """
-    return lat.vertex(a, b) * lat.vertex(c, d) - lat.vertex(a, d) * lat.vertex(c, b)
+
+def exact_det(lat: Lattice, rows: Sequence[Direction],
+              cols: Sequence[Direction]) -> tuple[int, int]:
+    """Determinant of the 1x1, 2x2 or 3x3 vertex matrix
+    M[i][j] = V(rows[i], cols[j]) as ``(integer, exponent)``: each term
+    carries 2^(sum of the row and column exponents)."""
+    if not len(rows) == len(cols) in (1, 2, 3):
+        raise ValueError("vertex matrix must be 1x1, 2x2 or 3x3, "
+                         f"got {len(rows)}x{len(cols)}")
+    m = [[lat.exact(r, c) for c in cols] for r in rows]
+    if len(m) == 1:
+        value = m[0][0]
+    elif len(m) == 2:
+        value = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    else:
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+        value = (m00 * (m11 * m22 - m12 * m21)
+                 - m01 * (m10 * m22 - m12 * m20)
+                 + m02 * (m10 * m21 - m11 * m20))
+    return value, sum(map(lat.exponent, (*rows, *cols)))
 
 
 def vertex_matrix_det(lat: Lattice, rows: Sequence[Direction],
                       cols: Sequence[Direction]) -> float:
-    """Determinant of the 1x1, 2x2 or 3x3 vertex matrix
-    M[i][j] = V(rows[i], cols[j]): the vertex itself, :func:`det2` or
-    :func:`det3_general` (which refuses any other shape)."""
-    if len(rows) == len(cols) == 1:
-        return lat.vertex(rows[0], cols[0])
-    if len(rows) == len(cols) == 2:
-        return det2(lat, rows[0], cols[0], rows[1], cols[1])
-    return det3_general(lat, rows, cols)
+    """:func:`exact_det` rounded once, named ``determinant delta_``
+    r0 c0 r1 c1 ..."""
+    return rounded(*exact_det(lat, rows, cols), "determinant delta_{}",
+                   _label([d for pair in zip(rows, cols) for d in pair]))
+
+
+def _label(subscripts: Sequence[Direction]) -> str:
+    return "".join(d.label for d in subscripts)
 
 
 def det3_general(lat: Lattice, rows: Sequence[Direction],
                  cols: Sequence[Direction]) -> float:
-    """3x3 determinant of the vertex matrix M[i][j] = V(rows[i], cols[j]).
-
-    Cofactor expansion along the first row; equal to the signed sum of
-    the six three-vertex joins.
-    """
+    """3x3 determinant of the vertex matrix M[i][j] = V(rows[i], cols[j]),
+    the signed sum of the six three-vertex joins."""
     if len(rows) != 3 or len(cols) != 3:
         raise ValueError("det3_general takes exactly 3 row and 3 column directions")
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
-        [lat.vertex(r, c) for c in cols] for r in rows)
-    return (m00 * (m11 * m22 - m12 * m21)
-            - m01 * (m10 * m22 - m12 * m20)
-            + m02 * (m10 * m21 - m11 * m20))
+    return vertex_matrix_det(lat, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -427,29 +487,24 @@ class DeterminantKind:
 
 
 def form_determinant(lat: Lattice, kind: DeterminantKind) -> float:
-    """Evaluate any member of the determinant family on a lattice: the
-    :func:`vertex_matrix_det` over rows ``subscripts[0::2]`` and columns
-    ``subscripts[1::2]``.
-    """
+    """Any member of the determinant family: the :func:`vertex_matrix_det`
+    over rows ``subscripts[0::2]`` and columns ``subscripts[1::2]``."""
     return vertex_matrix_det(lat, kind.subscripts[0::2], kind.subscripts[1::2])
 
 
 def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
-    """Determinant divided by n^2 (population-style scaling), with n
-    read as V(1, 1).
-
-    Only defined for the 2x2 kinds (variance, covariance, internal
-    covariance, base variance and general2); the n^2 factor is exactly
-    what the named ones carry over the plain moment.
-    """
+    """Determinant divided by n^2 = V(1, 1)^2 (population-style), exactly,
+    rounded once.  Only for the 2x2 kinds, whose named members carry
+    exactly that n^2 over the plain moment."""
     if len(kind.subscripts) != 4:
         raise ValueError(f"no sigma scaling for determinant kind {kind.tag!r}")
-    return _per_n2(lat, form_determinant(lat, kind))
+    n = lat.exact(UNITY, UNITY)
+    return rounded(*_kind_det(lat, kind), "sigma_{}", _label(kind.subscripts),
+                   den=n * n)
 
 
-def _per_n2(lat: Lattice, value: float) -> float:
-    n = lat.vertex(UNITY, UNITY)  # n exactly, and n * n rounded once
-    return value / (n * n)
+def _kind_det(lat: Lattice, kind: DeterminantKind) -> tuple[int, int]:
+    return exact_det(lat, kind.subscripts[0::2], kind.subscripts[1::2])
 
 
 def measure_catalog(source: Dataset | Lattice,
@@ -457,20 +512,13 @@ def measure_catalog(source: Dataset | Lattice,
     """All vertices and named determinants for two or three columns.
 
     ``source`` is a dataset, over which one lattice is built, or a
-    lattice that already caches unity and every column's direction
-    (:class:`MissingVertexError` otherwise).
-
-    Returns an ordered mapping whose keys follow the subscript naming of
-    the determinant family: ``v_1x`` for vertices, ``delta_`` plus a
-    kind's subscript labels (``delta_11xx``) for determinants, and
-    ``sigma_11xx`` for the delta / n^2 rescalings of the 2x2 kinds.
-    Keys concatenate column names directly, so single-character column
-    names read exactly like the subscripts.
-
-    Raises
-    ------
-    ValueError
-        If two entries would share one key, as when a column is named 1.
+    lattice that caches unity and every column's direction
+    (:class:`MissingVertexError` otherwise).  Keys follow the subscript
+    naming of the determinant family: ``v_1x`` for vertices, ``delta_``
+    plus a kind's subscript labels (``delta_11xx``), and ``sigma_11xx``
+    for the delta / n^2 of the 2x2 kinds; each entry is exact, rounded
+    once.  Keys concatenate column names, so ``ValueError`` is raised
+    when two entries would share one, as for a column named 1.
     """
     if len(columns) not in (2, 3):
         raise ValueError("measure catalog requires 2 or 3 columns")
@@ -492,11 +540,13 @@ def measure_catalog(source: Dataset | Lattice,
     if len(dirs) == 3:
         kinds.append(DeterminantKind.form1(*dirs))
 
-    deltas = [("".join(d.label for d in kind.subscripts), kind,
-               form_determinant(lat, kind)) for kind in kinds]
-    entries += [("delta_" + key, value) for key, _, value in deltas]
-    entries += [("sigma_" + key, _per_n2(lat, value))
-                for key, kind, value in deltas if len(kind.subscripts) == 4]
+    dets = [(kind, _label(kind.subscripts), _kind_det(lat, kind))
+            for kind in kinds]
+    entries += [("delta_" + key, rounded(*det, "determinant delta_{}", key))
+                for _, key, det in dets]
+    n = lat.exact(UNITY, UNITY)
+    entries += [("sigma_" + key, rounded(*det, "sigma_{}", key, den=n * n))
+                for kind, key, det in dets if len(kind.subscripts) == 4]
 
     out: dict[str, float] = {}
     for key, value in entries:

@@ -6,10 +6,8 @@ V(1, x) / V(1, 1), vertex (1, x) in direction x the self-weighting mean
 V(x, x) / V(1, x), and vertex (1, w) in direction x the mean of x
 randomly weighted by another measure w, V(w, x) / V(1, w).  The vertices
 come from a :class:`Lattice`, so that a request's means share its one
-data pass, or from a :class:`Dataset`, which sums each from its rows.
-When a*b has at most two factors, as in every mean the command line
-prints, the result is sum(a_i*b_i*d_i) / sum(a_i*b_i), both sums
-correctly rounded.
+data pass, or from one lattice built over a :class:`Dataset`.  Both are
+exact, so a mean is their exact ratio rounded once.
 """
 
 from __future__ import annotations
@@ -20,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroWeightError
-from .lattice import Dataset, Direction, Lattice, UNITY, build_lattice
+from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice,
+                      lattice_over, rounded)
 
 __all__ = [
     "MeanRequest",
@@ -42,17 +41,25 @@ class MeanRequest:
 
 def mean_operator(source: Dataset | Lattice, req: MeanRequest) -> float:
     """Weighted mean V(a*b, d) / V(a, b) for vertex (a, b), target d,
-    read from a dataset or from a lattice that caches both vertices.
+    read from a lattice that caches both vertices or from one built over
+    a dataset; the exact ratio, rounded once.
 
-    Raises :class:`ZeroWeightError` when V(a, b), a correctly rounded
-    sum, is 0: for vertex (1, w), when the weights sum to exactly 0.
+    Raises :class:`ZeroWeightError` when V(a, b) is exactly 0: for vertex
+    (1, w), when the weights sum to exactly 0.  Raises
+    :class:`~latreg.errors.NonFiniteResultError` when the ratio is outside
+    the float range.
     """
     a, b = req.vertex
-    denominator = source.vertex(a, b)
-    if denominator == 0:
+    ab, d = a * b, req.target
+    lat = lattice_over(source, [UNITY, a, b, ab, d])
+    weight = lat.exact(a, b)
+    if weight == 0:
         raise ZeroWeightError(
-            f"weight sum over vertex ({a.label}, {b.label}) is numerically zero")
-    return source.vertex(a * b, req.target) / denominator
+            f"weight sum over vertex ({a.label}, {b.label}) is zero")
+    e = lat.exponent
+    return rounded(lat.exact(ab, d), e(ab) + e(d) - e(a) - e(b),
+                   "mean V({0.label}, {1.label}) / V({2.label}, {3.label})",
+                   ab, d, a, b, den=weight)
 
 
 def standard_mean(source: Dataset | Lattice, col: str) -> float:

@@ -2,14 +2,15 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
-import numpy as np
 import pytest
 
 import latreg.cli
 import latreg.estimators
 import latreg.lattice
+import latreg.means
 from latreg import REPORT_SCHEMA
 from latreg.cli import main
 
@@ -231,36 +232,59 @@ class TestNonFiniteResults:
         ("means", "--columns", "x,y"),
     ])
     def test_overflow_is_data_error(self, capsys, tmp_path, argv, fmt):
+        # Every command reads a value outside the float range: V(x, x)
+        # and V(y, y) near 1e401, and the self-weighting mean of y,
+        # V(y, y) / V(1, y) with V(1, y) = 1e-200.
         path = tmp_path / "big.csv"
-        path.write_text("x,y\n1e200,2e200\n2e200,3.5e200\n3e200,6e200\n",
+        path.write_text("x,y\n1e200,2e200\n2e200,-2e200\n3e200,1e-200\n",
                         encoding="utf-8")
-        with np.errstate(over="ignore"):
-            code, out, err = run(capsys, *argv, "--input", str(path),
-                                 "--format", fmt)
+        code, out, err = run(capsys, *argv, "--input", str(path),
+                             "--format", fmt)
         assert code == 3
         assert out == ""
-        assert "not a finite number" in err
+        assert err.startswith("error: ")
+        assert err.endswith(" is outside the float range\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("argv, named", [
         (("rotate", "--columns", "x,y"), "vertex V(x, y)"),
-        (("fit", "--model", "y = 1 + x"), "vertex V(x, y)"),
+        (("fit", "--model", "y = 1 + x"), "vertex V(y, y)"),
         (("measures", "--columns", "x,y"), "vertex V(x, y)"),
-        (("means", "--columns", "x,y"), "vertex V(x, y)"),
+        (("means", "--columns", "x,y"), "mean V(y, y) / V(1, y)"),
     ])
     def test_mixed_sign_overflow_is_data_error(self, capsys, tmp_path, argv,
                                                named, fmt):
-        # The products x*y hold both +inf and -inf, which math.fsum
-        # refuses with a ValueError of its own.
+        # Products of both signs.  The first value read outside the float
+        # range is named: rotate and measures read V(x, x) = 1.1e301 and
+        # then V(x, y) = 2e350; fit lists y first and reads V(y, y); means
+        # reads V(y, y) / V(1, y), where V(1, y) = 1e-100 exactly.
         path = tmp_path / "mixed.csv"
-        path.write_text("x,y\n1e200,-1e200\n-1e200,1e200\n3e200,1e200\n",
+        path.write_text("x,y\n1e150,1e200\n-1e150,-1e200\n3e150,1e-100\n",
                         encoding="utf-8")
-        with np.errstate(over="ignore"):
-            code, out, err = run(capsys, *argv, "--input", str(path),
-                                 "--format", fmt)
+        code, out, err = run(capsys, *argv, "--input", str(path),
+                             "--format", fmt)
         assert code == 3
         assert out == ""
-        assert err.startswith(f"error: {named} is outside the float range")
+        assert err == f"error: {named} is outside the float range\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_means_of_huge_values_are_exact(self, capsys, tmp_path, fmt):
+        # V(x, x) and V(y, y) are near 1e401, but every mean is a ratio
+        # inside the float range: the exact ratio, rounded once.
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n1e200,2e200\n2e200,3.5e200\n3e200,6e200\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "means", "--columns", "x,y",
+                           "--input", str(path), "--format", "json")
+        assert code == 0
+        means = json.loads(out)["means"]
+        x = [Fraction(v) for v in (1e200, 2e200, 3e200)]
+        y = [Fraction(v) for v in (2e200, 3.5e200, 6e200)]
+        assert means["standard"]["x"] == float(sum(x) / 3)
+        assert means["self_weighting"]["x"] == float(
+            sum(v * v for v in x) / sum(x))
+        assert means["randomly_weighted"]["x"]["y"] == float(
+            sum(u * v for u, v in zip(x, y)) / sum(y))
 
     @pytest.mark.parametrize("argv", [
         ("rotate", "--columns", "x,y"),
@@ -271,7 +295,7 @@ class TestNonFiniteResults:
     def test_stderr_is_one_error_line(self, tmp_path, argv):
         # No numpy overflow warning may precede the error line.
         path = tmp_path / "mixed.csv"
-        path.write_text("x,y\n1e200,-1e200\n-1e200,1e200\n3e200,1e200\n",
+        path.write_text("x,y\n1e150,1e200\n-1e150,-1e200\n3e150,1e-100\n",
                         encoding="utf-8")
         result = subprocess.run(
             [sys.executable, "-m", "latreg", *argv, "--input", str(path)],
@@ -283,16 +307,26 @@ class TestNonFiniteResults:
         assert result.stderr.endswith("\n")
 
     def test_intermediate_overflow_is_data_error(self, capsys, tmp_path):
-        # Finite values whose running sum overflows: math.fsum raises
-        # OverflowError for V(1, x).
+        # Finite values whose exact sum V(1, x) = 3e308 + 1 is out of range.
         path = tmp_path / "edge.csv"
         path.write_text("x,y\n1.5e308,1\n1.5e308,2\n1,3\n", encoding="utf-8")
-        with np.errstate(over="ignore"):
-            code, out, err = run(capsys, "rotate", "--columns", "x,y",
-                                 "--input", str(path))
+        code, out, err = run(capsys, "rotate", "--columns", "x,y",
+                             "--input", str(path))
         assert code == 3
         assert out == ""
         assert err.startswith("error: vertex V(1, x) is outside the float range")
+
+
+REQUESTS = [
+    ("rotate", "--columns", "x,y"),
+    ("rotate", "--columns", "x,y,z"),
+    ("fit", "--model", "y = 1 + x"),
+    ("fit", "--model", "1 = x + y"),
+    ("fit", "--model", "1 = x + y + x*y"),
+    ("fit", "--model", "1 = x + y + z"),
+    ("measures", "--columns", "x,y,z"),
+    ("means", "--columns", "x,y,z"),
+]
 
 
 class TestOneLatticePerRequest:
@@ -310,20 +344,52 @@ class TestOneLatticePerRequest:
             monkeypatch.setattr(module, "build_lattice", counting)
         return calls
 
-    @pytest.mark.parametrize("argv", [
-        ("rotate", "--columns", "x,y"),
-        ("rotate", "--columns", "x,y,z"),
-        ("fit", "--model", "y = 1 + x"),
-        ("fit", "--model", "1 = x + y"),
-        ("fit", "--model", "1 = x + y + x*y"),
-        ("fit", "--model", "1 = x + y + z"),
-        ("measures", "--columns", "x,y,z"),
-        ("means", "--columns", "x,y,z"),
-    ])
+    @pytest.fixture
+    def reads(self, monkeypatch, builds):
+        """(method, argument, inside) for every Dataset.column and
+        Dataset.evaluate call, ``inside`` telling whether a build_lattice
+        call was running."""
+        log = []
+        depth = [0]
+        counting = latreg.lattice.build_lattice
+
+        def nested(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return counting(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for module in (latreg.lattice, latreg.estimators, latreg.means,
+                       latreg.cli):
+            monkeypatch.setattr(module, "build_lattice", nested)
+        for method in ("column", "evaluate"):
+            original = getattr(latreg.lattice.Dataset, method)
+
+            def spy(data, arg, original=original, method=method):
+                log.append((method, arg, depth[0] > 0))
+                return original(data, arg)
+
+            monkeypatch.setattr(latreg.lattice.Dataset, method, spy)
+        return log
+
+    @pytest.mark.parametrize("argv", REQUESTS)
     def test_single_build(self, capsys, d2_path, builds, argv):
         code, _, _ = run(capsys, *argv, "--input", d2_path, "--format", "json")
         assert code == 0
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", REQUESTS)
+    def test_one_data_pass(self, capsys, d2_path, builds, reads, argv):
+        # Each column is read once, inside the one build_lattice call;
+        # fits, catalog and means read only the lattice.
+        code, _, _ = run(capsys, *argv, "--input", d2_path, "--format", "json")
+        assert code == 0
+        assert len(builds) == 1
+        assert reads and all(inside for _, _, inside in reads)
+        assert {method for method, _, _ in reads} == {"column"}
+        names = [name for _, name, _ in reads]
+        assert len(names) == len(set(names))
 
 
 class TestSimulate:
@@ -581,31 +647,31 @@ means:
 """),
     "fit-explicit": (("fit", "--model", "y = 1 + x"), "d1", """\
 rotations:
-  response  coefficients             denominator  numerators  sse                 flag
-  y         0.3333333333333333, 1.5  6.0          2.0, 9.0    0.1666666666666669  well-posed
+  response  coefficients             denominator  numerators  sse                  flag
+  y         0.3333333333333333, 1.5  6.0          2.0, 9.0    0.16666666666666666  well-posed
 """ + D1_YX_MEASURES_TEXT),
     "fit-implicit": (("fit", "--model", "1 = x + y"), "d1", """\
 rotations:
   response  coefficients                             denominator  numerators  sse                 flag
-  1         -0.6666666666666666, 0.6666666666666666  3.0          -2.0, 2.0   0.3333333333333331  well-posed
+  1         -0.6666666666666666, 0.6666666666666666  3.0          -2.0, 2.0   0.3333333333333333  well-posed
 """ + D1_MEASURES_TEXT),
     "fit-interaction": (("fit", "--model", "1 = x + y + x*y"), "d1", """\
 rotations:
-  response  coefficients                                                    denominator  numerators        sse                     flag
-  1         -0.14285714285714285, 0.7142857142857143, -0.14285714285714285  49.0         -7.0, 35.0, -7.0  1.9721522630525295e-31  well-posed
+  response  coefficients                                                    denominator  numerators        sse                    flag
+  1         -0.14285714285714285, 0.7142857142857143, -0.14285714285714285  49.0         -7.0, 35.0, -7.0  6.471124613141112e-32  well-posed
 """ + D1_MEASURES_TEXT),
     # x enters only as x*x, so there is no catalog and no measures block.
     "fit-no-catalog": (("fit", "--model", "y = 1 + x*x"), "d1", """\
 rotations:
   response  coefficients                             denominator  numerators   sse                  flag
-  y         1.5714285714285714, 0.37755102040816324  98.0         154.0, 37.0  0.01020408163265308  well-posed
+  y         1.5714285714285714, 0.37755102040816324  98.0         154.0, 37.0  0.01020408163265306  well-posed
 """),
     "rotate-d1": (("rotate", "--columns", "x,y"), "d1", """\
 rotations:
   response  coefficients                              denominator  numerators  sse                  flag
-  x         -0.14285714285714285, 0.6428571428571429  14.0         -2.0, 9.0   0.07142857142857137  well-posed
-  y         0.3333333333333333, 1.5                   6.0          2.0, 9.0    0.1666666666666669   well-posed
-  1         -0.6666666666666666, 0.6666666666666666   3.0          -2.0, 2.0   0.3333333333333331   well-posed
+  x         -0.14285714285714285, 0.6428571428571429  14.0         -2.0, 9.0   0.07142857142857142  well-posed
+  y         0.3333333333333333, 1.5                   6.0          2.0, 9.0    0.16666666666666666  well-posed
+  1         -0.6666666666666666, 0.6666666666666666   3.0          -2.0, 2.0   0.3333333333333333   well-posed
 """ + D1_MEASURES_TEXT),
     "rotate-d2": (("rotate", "--columns", "x,y,z"), "d2", """\
 rotations:
@@ -649,10 +715,10 @@ simulation:
   mu = 100.0
   sigma = 1.0
   trials = 5
-  random_weight_dev_max = 0.05116728552448535
-  random_weight_dev_mean = 0.031795607323354604
-  self_weight_dev_max = 0.010588917659404729
-  self_weight_dev_mean = 0.008947744858872397
+  random_weight_dev_max = 0.05116728552449956
+  random_weight_dev_mean = 0.031795607323346076
+  self_weight_dev_max = 0.01058891765943315
+  self_weight_dev_mean = 0.008947744858880924
 """),
 }
 

@@ -9,7 +9,7 @@ from latreg import (ColumnNotFoundError, Dataset, DeterminantKind, Direction,
                     measure_catalog, residual_report, solve)
 
 from conftest import X, Y, Z, random_dataset, replicate
-from oracles import ols_solve
+from oracles import ExactData, ols_solve, rounded
 
 
 def spec(response, *regressors):
@@ -45,7 +45,6 @@ class TestSimpleLineFits:
         assert result.coefficients == pytest.approx((1.0 / 3.0, 1.5), rel=1e-12)
         assert result.denominator == 6.0
         assert result.numerators == (2.0, 9.0)
-        assert result.condition_flag == "well-posed"
 
     def test_x_on_y_rotation(self, d1):
         result = fit(d1, spec(X, UNITY, Y))
@@ -145,7 +144,6 @@ class TestSingularSystems:
         data = Dataset({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
         result = fit(data, spec(Y, UNITY, X))
         assert result.coefficients == pytest.approx((0.0, 1.0), abs=1e-12)
-        assert result.condition_flag == "well-posed"
 
     def test_exact_scaling_collinearity(self):
         x = np.array([1.0, 1.0 + 1e-8, 2.0])
@@ -162,11 +160,11 @@ class TestSingularSystems:
 
     def test_near_singular_consistent_system_flagged(self):
         # y is x plus a 1e-7 bump on one row; the implicit system is almost
-        # rank one but (1, 0) still satisfies the normal equations.
+        # rank one, but its exact determinant is not 0 and (1, 0) is the
+        # exact solution.
         data = Dataset({"x": [1.0, 1.0], "y": [1.0, 1.0 + 1e-7]})
         result = fit(data, spec(UNITY, X, Y))
-        assert result.condition_flag == "near-singular"
-        assert result.coefficients == pytest.approx((1.0, 0.0), abs=1e-9)
+        assert result.coefficients == (1.0, 0.0)
 
 
 class TestRotations:
@@ -251,7 +249,6 @@ def assert_same_fit(a, b, data):
     assert a.numerators == b.numerators
     assert a.sse == b.sse
     assert np.array_equal(a.predict(data), b.predict(data))
-    assert a.condition_flag == b.condition_flag
 
 
 SHARED_SPECS = (
@@ -271,8 +268,11 @@ class TestSharedLattice:
             for model in SHARED_SPECS:
                 result = solve(lat, model)
                 assert_same_fit(result, fit(data, model), data)
-                residuals = data.evaluate(model.response) - result.predict(data)
-                assert result.sse == math.fsum(r * r for r in residuals)
+                exact = ExactData({c: data.column(c) for c in data.names})
+                assert result.sse == rounded(exact.sse(
+                    model.response.factors,
+                    [d.factors for d in model.regressors],
+                    result.coefficients))
 
     def test_rotations_and_catalog_match_dataset(self):
         rng = np.random.default_rng(47)
@@ -386,10 +386,3 @@ class TestResidualReport:
                         report["system_error"],
                         math.fsum((1.0 - p) ** 2 for p in preds),
                         rel_tol=4 * 2.0 ** -52)
-
-    def test_requires_well_posed(self):
-        data = Dataset({"x": [1.0, 1.0], "y": [1.0, 1.0 + 1e-7]})
-        result = fit(data, spec(UNITY, X, Y))
-        assert result.condition_flag == "near-singular"
-        with pytest.raises(ValueError):
-            residual_report(result, data)

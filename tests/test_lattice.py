@@ -310,7 +310,7 @@ class TestScaledSigma:
         n = 1001
         data = Dataset({"x": np.arange(n, dtype=float) % 7})
         lat = lattice_for(data, X)
-        rowless = Lattice(None, lat.directions, lat._vertices)
+        rowless = Lattice(lat.directions, lat._vertices, lat._exponents)
         kind = DeterminantKind.variance(X)
         assert scaled_sigma(rowless, kind) == (form_determinant(lat, kind)
                                                / float(n * n))
@@ -374,21 +374,22 @@ class TestMeasureCatalog:
                              ids=["2-columns", "3-columns"])
     def test_each_determinant_evaluated_once(self, monkeypatch, d2, columns,
                                              calls):
-        kinds = []
-        original = latreg.lattice.form_determinant
+        # Each exact determinant serves both its delta_ and sigma_ entry.
+        matrices = []
+        original = latreg.lattice.exact_det
 
-        def counting(lat, kind):
-            kinds.append(kind)
-            return original(lat, kind)
+        def counting(lat, rows, cols):
+            matrices.append((tuple(rows), tuple(cols)))
+            return original(lat, rows, cols)
 
-        monkeypatch.setattr(latreg.lattice, "form_determinant", counting)
+        monkeypatch.setattr(latreg.lattice, "exact_det", counting)
         catalog = measure_catalog(d2, columns)
-        assert len(kinds) == len(set(kinds)) == calls
+        assert len(matrices) == len(set(matrices)) == calls
         assert sum(key.startswith("delta_") for key in catalog) == calls
 
     def test_catalog_reads_only_the_lattice(self, d2):
         lat = lattice_for(d2, X, Y, Z)
-        rowless = Lattice(None, lat.directions, lat._vertices)
+        rowless = Lattice(lat.directions, lat._vertices, lat._exponents)
         assert (list(measure_catalog(rowless, ["x", "y", "z"]).items())
                 == list(measure_catalog(lat, ["x", "y", "z"]).items()))
 

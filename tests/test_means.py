@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latreg import (Dataset, Direction, MeanRequest, MissingVertexError,
-                    UNITY, ZeroWeightError, build_lattice, mean_operator,
+                    NonFiniteResultError, UNITY, ZeroWeightError,
+                    build_lattice, mean_operator,
                     self_weighting_mean, simulate_convergence, standard_mean,
                     weighted_mean)
 
@@ -57,6 +58,25 @@ class TestMeanOperator:
         data = Dataset({"x": [0.0, 0.0], "y": [3.0, 4.0]})
         with pytest.raises(ZeroWeightError):
             mean_operator(data, MeanRequest(vertex=(UNITY, X), target=Y))
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_level_two_vertex_beyond_float_range(self, lattice):
+        # V(x, y) = 2e400 and V(x*y, x) = 2e600 both overflow; their ratio
+        # is x exactly.
+        data = Dataset({"x": [1e200, 1e200], "y": [1e200, 1e200]})
+        source = build_lattice(data, [UNITY, X, Y, X * Y]) if lattice else data
+        req = MeanRequest(vertex=(X, Y), target=X)
+        assert mean_operator(source, req) == 1e200
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_ratio_beyond_float_range(self, lattice):
+        # sum(w) = 2^-40 and sum(w x) is about 2^1000: the mean is 2^1040.
+        data = Dataset({"x": [2.0 ** 1000, 1.0], "w": [1.0, -1.0 + 2.0 ** -40]})
+        source = (build_lattice(data, [UNITY, X, Direction("w")]) if lattice
+                  else data)
+        with pytest.raises(NonFiniteResultError,
+                           match=r"^mean V\(w, x\) / V\(1, w\) is outside"):
+            weighted_mean(source, "x", "w")
 
     def test_matches_standard_mean_exactly(self):
         rng = np.random.default_rng(3)
