@@ -250,7 +250,8 @@ class TestNonFiniteResults:
         (("rotate", "--columns", "x,y"), "vertex V(x, y)"),
         (("fit", "--model", "y = 1 + x"), "vertex V(y, y)"),
         (("measures", "--columns", "x,y"), "vertex V(x, y)"),
-        (("means", "--columns", "x,y"), "mean V(y, y) / V(1, y)"),
+        pytest.param(("means", "--columns", "x,y"), "mean V(y, y) / V(1, y)",
+                     id="argv3-mean of y"),
     ])
     def test_mixed_sign_overflow_is_data_error(self, capsys, tmp_path, argv,
                                                named, fmt):
