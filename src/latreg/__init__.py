@@ -23,7 +23,8 @@ cli
     The ``latreg`` command-line front end.
 """
 
-from .dataio import REPORT_SCHEMA, read_csv, render, write_csv, write_report
+from .dataio import (REPORT_SCHEMA, read_csv, read_lattice, render, write_csv,
+                     write_report)
 from .errors import (ColumnNotFoundError, CsvFormatError, EmptyDataError,
                      FormulaError, LatregError, MissingVertexError,
                      NonFiniteResultError, SingularSystemError,
@@ -70,6 +71,7 @@ __all__ = [
     "measure_catalog",
     "parse_model",
     "read_csv",
+    "read_lattice",
     "render",
     "residual_report",
     "scaled_sigma",

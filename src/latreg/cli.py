@@ -14,11 +14,11 @@ import argparse
 import re
 import sys
 
-from .dataio import read_csv, render, write_report
+from .dataio import read_lattice, render, write_report
 from .errors import FormulaError, LatregError, SingularSystemError
 from .estimators import RotationResult, fit_all_rotations, solve
 from .formula import parse_model
-from .lattice import Dataset, Direction, UNITY, build_lattice, measure_catalog
+from .lattice import Direction, Lattice, UNITY, measure_catalog
 from .means import (self_weighting_mean, simulate_convergence, standard_mean,
                     weighted_mean)
 
@@ -110,10 +110,11 @@ def _split_columns(raw: str, minimum: int, maximum: int) -> list[str]:
     return columns
 
 
-def _load(args, columns: list[str]) -> Dataset:
-    # stdin is read as bytes, which read_csv decodes as it decodes a path.
+def _load(args, columns: list[str], directions: list[Direction]) -> Lattice:
+    # stdin is read as bytes, which read_lattice decodes as it decodes a path.
     stdin = getattr(sys.stdin, "buffer", sys.stdin)
-    return read_csv(stdin if args.input == "-" else args.input, columns)
+    return read_lattice(stdin if args.input == "-" else args.input, columns,
+                        directions)
 
 
 def _emit(payload_bytes: bytes) -> None:
@@ -122,15 +123,14 @@ def _emit(payload_bytes: bytes) -> None:
 
 def _cmd_measures(args) -> int:
     columns = _split_columns(args.columns, 2, 3)
-    data = _load(args, columns)
-    _emit(render({"measures": measure_catalog(data, columns)}, args.format))
+    lat = _load(args, columns, [UNITY, *map(Direction, columns)])
+    _emit(render({"measures": measure_catalog(lat, columns)}, args.format))
     return EXIT_OK
 
 
 def _cmd_means(args) -> int:
     columns = _split_columns(args.columns, 1, 3)
-    lat = build_lattice(_load(args, columns),
-                        [UNITY, *map(Direction, columns)])
+    lat = _load(args, columns, [UNITY, *map(Direction, columns)])
     standard = {c: standard_mean(lat, c) for c in columns}
     self_weighting = {c: self_weighting_mean(lat, c) for c in columns}
     random_weighted: dict[str, dict[str, float]] = {}
@@ -162,11 +162,10 @@ def _cmd_fit(args) -> int:
     columns = _model_columns(spec)
     if not columns:
         raise ValueError("model references no data columns")
-    data = _load(args, columns)
     plain = [c for c in columns
              if any(d.factors == (c,) for d in (spec.response, *spec.regressors))]
     catalog = [Direction(c) for c in plain] if len(plain) in (2, 3) else []
-    lat = build_lattice(data, [UNITY, *spec.regressors, spec.response, *catalog])
+    lat = _load(args, columns, [UNITY, *spec.regressors, spec.response, *catalog])
     result = solve(lat, spec)
     measures = measure_catalog(lat, plain) if catalog else {}
     rotation = RotationResult(response=spec.response, fit=result)
@@ -176,9 +175,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_rotate(args) -> int:
     columns = _split_columns(args.columns, 2, 3)
-    data = _load(args, columns)
     directions = [UNITY] + [Direction(c) for c in columns]
-    lat = build_lattice(data, directions)
+    lat = _load(args, columns, directions)
     rotations = fit_all_rotations(lat, directions)
     measures = measure_catalog(lat, columns)
     _emit(write_report(rotations, measures, format=args.format))

@@ -11,22 +11,32 @@ digit-group underscores (``1_0``) and non-ASCII digits are errors, not
 imputed.  Text that cannot be decoded, and a record the :mod:`csv`
 module refuses (a field over its size limit), are errors too.
 
-The header is read with :mod:`csv`.  Data lines are then read in chunks
-of about :data:`_CHUNK_CHARS` characters, and each chunk's selected
-columns are converted in one ``np.loadtxt`` call.  Before the call,
-every non-blank line must have the header's field count; after it,
-every value must be finite.  The per-cell reader, :mod:`csv` plus one
-``float()`` per cell, runs only where that conversion might not read
-the chunk as it would:
+The header is read with :mod:`csv`.  Data lines are then read in one
+streaming pass, in chunks of about :data:`_CHUNK_CHARS` characters cut
+at a line end, and each chunk's columns are converted in one
+``np.loadtxt`` call.  :func:`read_lattice` folds each chunk's rows into
+the exact lattice as they arrive, so no request holds the rows and
+memory stays flat in their number; :func:`read_csv` collects them into
+a :class:`Dataset`.  Each chunk is checked once as a whole (ASCII, no
+``"``, no separator ``np.loadtxt`` strips but ``float()`` does not).
+When the selection covers every header field, ``np.loadtxt`` converts
+every field and itself refuses a ragged row, and the block's width must
+be the header's field count; when it leaves fields out, every non-blank
+line's field count is checked first, so that an unselected text field
+is never converted.  After the call the block must have one row per
+non-blank line, and every value must be finite.  The per-cell reader,
+:mod:`csv` plus one ``float()`` per cell, runs only where that
+conversion might not read the chunk as it would:
 
 * from the first chunk holding a ``"`` to the end of the input, since
   quoted text may run past a chunk, and
-* on any other chunk that is not plain ASCII, holds a separator
-  ``np.loadtxt`` strips but ``float()`` does not, or fails a check or
-  the conversion.  It then raises the positioned :class:`CsvFormatError`
-  or, if the chunk is valid after all, returns the chunk's values.
+* on any other chunk that fails a check or the conversion.  It then
+  raises the positioned :class:`CsvFormatError` or, if the chunk is
+  valid after all, gives the chunk's values.
 
-Both readers accept the same input and give the same values bit for bit.
+The per-cell reader also yields blocks of at most :data:`_CELL_ROWS`
+rows, so a quoted file streams in flat memory too.  Both readers accept
+the same input and give the same values bit for bit.
 
 Every report is one payload in the :data:`REPORT_SCHEMA` layout, which
 :func:`render` serializes to JSON (stable key order, shortest round-trip
@@ -40,31 +50,36 @@ import csv
 import io
 import json
 import math
-from contextlib import ExitStack
-from itertools import chain, repeat
+from contextlib import ExitStack, contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CsvFormatError, NonFiniteResultError
 from .estimators import RotationResult
-from .lattice import Dataset
+from .lattice import Dataset, Direction, Lattice, lattice_of_rows
 
 __all__ = [
     "read_csv",
+    "read_lattice",
     "write_csv",
     "render",
     "write_report",
     "REPORT_SCHEMA",
 ]
 
-#: Characters of data lines read per chunk (``readlines`` hint).  Each
-#: chunk is one ``np.loadtxt`` call; its text and line objects are all of
-#: the input alive at once.  While a chunk's text is within the ``csv``
-#: field size limit (131072 by default), none of its lines can exceed it,
-#: so at this size the line lengths are rarely scanned.
+#: Characters read per chunk of data lines; a chunk runs on to the end
+#: of the line it stops in.  Each chunk is one ``np.loadtxt`` call, and
+#: its text, its lines, its values and one lattice block are all of the
+#: input alive at once.  While a chunk's text is within the ``csv`` field size limit
+#: (131072 by default), none of its lines can exceed it, so at this size
+#: the line lengths are rarely scanned.
 _CHUNK_CHARS = 1 << 16
+
+#: Rows in each block the per-cell reader yields.
+_CELL_ROWS = 1 << 12
 
 #: ASCII separators that ``np.loadtxt`` strips around a number but
 #: ``float()`` does not; a chunk holding one goes to the per-cell reader.
@@ -80,7 +95,7 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
     source : path, binary stream or text stream
         CSV input with a header row.  A path or a binary stream (such as
         ``sys.stdin.buffer``) is decoded as UTF-8, with or without a
-        BOM, and its lines may end in LF, CRLF or CR.
+        BOM.  Data lines may end in LF, CRLF or CR.
     names : sequence of str
         Distinct header names of the columns to keep.  A product x*y is
         no column but ``Direction("x", "y")``, evaluated by the lattice.
@@ -103,12 +118,58 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
         over its size limit, reported with its data row), text that
         cannot be decoded, or an empty data section.
     """
+    names = _selection(names)
+    # Every block goes into one table that ndarray.resize grows in place
+    # (realloc; no view of it exists meanwhile), so no block outlives its
+    # turn.  Blocks kept to the end and then freed left the heap
+    # fragmented, and peak RSS then followed the heap's layout.
+    table, end = np.empty((0, len(names))), 0
+    with _text(source) as stream:
+        for block, first in _blocks(stream, names):
+            end = first - 1 + len(block)
+            if end > len(table):
+                table.resize((max(2 * len(table), end), len(names)),
+                             refcheck=False)
+            table[first - 1:end] = block
+    table.resize((end, len(names)), refcheck=False)
+    return Dataset({name: table[:, i] for i, name in enumerate(names)})
+
+
+def read_lattice(source: str | Path | IO[str] | IO[bytes],
+                 names: Sequence[str],
+                 directions: Sequence[Direction]) -> Lattice:
+    """``build_lattice(read_csv(source, names), directions)`` in one
+    streaming pass: each chunk of rows is folded into the exact vertices
+    as it is parsed, and no row outlives its chunk, so memory stays flat
+    in the number of rows.
+
+    ``source`` and ``names`` are as in :func:`read_csv`, which gives the
+    same errors; the lattice is the same, exactly.  ``directions`` must
+    be non-empty, include unity and read only columns in ``names`` (else
+    ``ValueError`` or :class:`~latreg.errors.ColumnNotFoundError`, before
+    any input is read).
+    """
+    names = _selection(names)
+    with _text(source) as stream:
+        return lattice_of_rows((block for block, _ in _blocks(stream, names)),
+                               names, directions)
+
+
+def _selection(names: Sequence[str]) -> tuple[str, ...]:
     if isinstance(names, str):
         raise TypeError(f"names must be a sequence, not the str {names!r}")
     names = tuple(names)
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"column {name!r} is selected more than once")
+    return names
+
+
+@contextmanager
+def _text(source: str | Path | IO[str] | IO[bytes]) -> Iterator[IO[str]]:
+    """``source`` as a text stream, open for the ``with`` block; a path is
+    closed after it, a caller's stream is left open.  Text that cannot be
+    decoded raises :class:`CsvFormatError`."""
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
             source = stack.enter_context(open(source, "rb"))
@@ -117,7 +178,7 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
             source = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
             stack.callback(source.detach)  # leaves a caller's stream open
         try:
-            return _read_csv_stream(source, names)
+            yield source
         except UnicodeDecodeError as err:
             raise CsvFormatError(
                 f"input is not {err.encoding} text: byte "
@@ -125,7 +186,11 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
                 f"({err.reason})") from None
 
 
-def _read_csv_stream(stream: IO[str], names: tuple[str, ...]) -> Dataset:
+def _blocks(stream: IO[str],
+            names: tuple[str, ...]) -> Iterator[tuple[np.ndarray, int]]:
+    """The named columns of the data rows after the header, as (r, k)
+    float64 blocks in row order, each with the number of its first data
+    row (from 1).  The header is read with :mod:`csv`."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -141,39 +206,44 @@ def _read_csv_stream(stream: IO[str], names: tuple[str, ...]) -> Dataset:
                 column=name)
     usecols = [header.index(name) for name in names]
 
-    # Every chunk's rows go into one table that ndarray.resize grows in
-    # place (realloc; no view of it exists meanwhile), so no chunk's block
-    # outlives its chunk.  Blocks kept to the end and then freed left the
-    # heap fragmented, and peak RSS then followed the heap's layout.
-    table = np.empty((0, len(names)))
-    n_rows = 0
-    for lines in iter(lambda: stream.readlines(_CHUNK_CHARS), []):
-        text = "".join(lines)
-        quoted = '"' in text
-        if quoted:
+    row = 1
+    chunks = _chunks(stream)
+    for text in chunks:
+        if '"' in text:
             # A quoted field may run past this chunk, so the per-cell
             # reader takes the rest of the stream.
-            block = _parse_cells(chain(lines, stream), len(header), usecols,
-                                 names, n_rows)
+            blocks = _parse_cells(_lines(chain([text], chunks)), len(header),
+                                  usecols, names, row - 1)
         else:
-            block = _convert_chunk(lines, text, len(header), usecols)
-            if block is None:
-                block = _parse_cells(lines, len(header), usecols, names,
-                                     n_rows)
-        if n_rows + len(block) > len(table):
-            table.resize((max(2 * len(table), n_rows + len(block)),
-                          len(names)), refcheck=False)
-        table[n_rows:n_rows + len(block)] = block
-        n_rows += len(block)
-        if quoted:
-            break
-    if n_rows == 0:
+            block = _convert_chunk(text, len(header), usecols)
+            blocks = ([block] if block is not None else
+                      _parse_cells(_lines([text]), len(header), usecols,
+                                   names, row - 1))
+        for block in blocks:
+            if len(block):
+                yield block, row
+                row += len(block)
+    if row == 1:
         raise CsvFormatError("data section is empty")
-    table.resize((n_rows, len(names)), refcheck=False)
-    return Dataset({name: table[:, i] for i, name in enumerate(names)})
 
 
-def _convert_chunk(lines: list[str], text: str, n_fields: int,
+def _chunks(stream: IO[str]) -> Iterator[str]:
+    """The rest of ``stream`` in pieces of about ``_CHUNK_CHARS``
+    characters, each ending at a line end (or at the end of input)."""
+    while text := stream.read(_CHUNK_CHARS):
+        if text[-1] not in "\r\n":
+            text += stream.readline()
+        yield text
+
+
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of chunks of CSV text, split as ``csv`` splits them: at
+    LF, CRLF and CR."""
+    for text in chunks:
+        yield from io.StringIO(text, newline="")
+
+
+def _convert_chunk(text: str, n_fields: int,
                    usecols: list[int]) -> np.ndarray | None:
     """The selected cells of unquoted CSV lines as an (n, k) array, or
     None when the per-cell reader must decide.
@@ -182,38 +252,55 @@ def _convert_chunk(lines: list[str], text: str, n_fields: int,
     non-ASCII text, a separator that ``np.loadtxt`` strips but
     ``float()`` does not, a line the ``csv`` module would refuse as too
     long, a row with the wrong field count, a cell ``np.loadtxt``
-    rejects, or a value that is not finite.
+    rejects, or a value that is not finite.  When the selection covers
+    every field, ``np.loadtxt`` itself refuses a ragged row, and the
+    block's width checks the header's field count; otherwise each line's
+    field count is checked, so that an unselected text field is never
+    converted.
     """
     if not text.isascii() or any(c in text for c in _LOADTXT_ONLY_SPACE):
         return None
+    if "\r" in text:  # lines end at LF alone from here on
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
         return None
-    # csv.reader skips blank lines, so they are not rows.
-    rows = lines
-    if "\n" in lines or "\r\n" in lines or "\r" in lines:
-        rows = [line for line in lines if line not in ("\n", "\r\n", "\r")]
-    if not rows or set(map(str.count, rows, repeat(","))) != {n_fields - 1}:
+    every_field = len(usecols) == n_fields
+    if not every_field and any(line.count(",") != n_fields - 1
+                               for line in lines if line):
         return None
+    if not any(lines):
+        return np.empty((0, len(usecols)))
     try:
-        block = np.loadtxt(rows, delimiter=",", usecols=usecols, dtype=float,
-                           ndmin=2, comments=None, quotechar=None)
+        block = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2,
+                           comments=None, quotechar=None,
+                           usecols=None if every_field else usecols)
     except ValueError:
         return None
-    # np.loadtxt skips empty lines on its own; the row count guards the
-    # alignment of rows and their numbers should it skip any other.
-    if len(block) != len(rows) or not np.isfinite(block).all():
+    # csv.reader and np.loadtxt both skip blank lines, so they are not
+    # rows.  The row count guards the alignment of rows and their
+    # numbers, should np.loadtxt skip a line that csv.reader reads.
+    rows = len(lines) - (lines[-1] == "")
+    if len(block) != rows:
+        rows = len(lines) - lines.count("")
+    width = n_fields if every_field else len(usecols)
+    if block.shape != (rows, width) or not np.isfinite(block).all():
         return None
+    if every_field and usecols != sorted(usecols):
+        block = block[:, usecols]
     return block
 
 
 def _parse_cells(lines: Iterable[str], n_fields: int, usecols: list[int],
-                 names: Sequence[str], row_offset: int) -> np.ndarray:
+                 names: Sequence[str],
+                 row_offset: int) -> Iterator[np.ndarray]:
     """The selected cells of CSV lines, read record by record with the
-    ``csv`` module and converted one ``float()`` at a time, as an (n, k)
-    array.  Data rows are numbered from ``row_offset + 1`` in errors."""
+    ``csv`` module and converted one ``float()`` at a time, as (n, k)
+    blocks of at most ``_CELL_ROWS`` rows.  Data rows are numbered from
+    ``row_offset + 1`` in errors."""
     values: list[float] = []
-    row_number = row_offset
+    row_number = block_start = row_offset
     try:
         for row in csv.reader(lines):
             if not row:
@@ -237,11 +324,14 @@ def _parse_cells(lines: Iterable[str], n_fields: int, usecols: list[int],
                         f"value {cell!r} is not a finite number",
                         row=row_number, column=name)
                 values.append(value)
+            if row_number - block_start == _CELL_ROWS:
+                yield np.array(values).reshape(_CELL_ROWS, len(usecols))
+                values, block_start = [], row_number
     except csv.Error as err:
         raise CsvFormatError(f"row {row_number + 1}: {err}",
                              row=row_number + 1) from None
-    return np.array(values, dtype=float).reshape(row_number - row_offset,
-                                                 len(usecols))
+    yield np.array(values, dtype=float).reshape(row_number - block_start,
+                                                len(usecols))
 
 
 def write_csv(data: Dataset) -> bytes:

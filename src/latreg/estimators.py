@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LatregError, SingularSystemError
+from .errors import LatregError, NonFiniteResultError, SingularSystemError
 from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice,
                       exact_det, lattice_over, rounded)
 
@@ -223,13 +223,25 @@ def residual_report(fit_result: FitResult, data: Dataset) -> dict:
     residuals), and for non-response fits additionally
     ``"system_error"``, the error in the system sum(1 - sum_j c_j reg_j)^2
     (identical to the SSE there, since the response is the constant 1).
+    An SSE outside the float range raises
+    :class:`~latreg.errors.NonFiniteResultError`, as ``FitResult.sse``
+    does.
     """
     spec = fit_result.spec
-    residuals = data.evaluate(spec.response) - fit_result.predict(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = data.evaluate(spec.response) - fit_result.predict(data)
+        squares = (residuals * residuals).tolist()
+    try:
+        sse = math.fsum(squares)
+    except OverflowError:
+        sse = math.inf
+    if not math.isfinite(sse):
+        raise NonFiniteResultError(
+            f"SSE of {spec.label!r} is outside the float range")
     report: dict = {
         "model": spec.label,
         "residuals": residuals.tolist(),
-        "sse": math.fsum((residuals * residuals).tolist()),
+        "sse": sse,
     }
     if spec.is_non_response:
         # The response is the constant 1, so each residual is 1 - prediction.

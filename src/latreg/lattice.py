@@ -35,7 +35,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -220,6 +220,54 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     vertices go into Python integers at the lowest exponent any block
     needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
+    def blocks(names):
+        columns = [data.column(name) for name in names]
+        for start in range(0, data.n, _BLOCK_ROWS):
+            yield np.array([c[start:start + _BLOCK_ROWS] for c in columns]
+                           ).reshape(len(columns), min(_BLOCK_ROWS, data.n - start))
+
+    return _fold(directions, blocks)
+
+
+def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
+                    directions: Sequence[Direction]) -> Lattice:
+    """:func:`build_lattice` over row chunks: each chunk an (r, k) array
+    of the columns ``names``, in row order.  The chunks are re-cut into
+    blocks of ``_BLOCK_ROWS`` rows, so the exact vertices and the number
+    of blocks are those of the same rows in one :class:`Dataset`; no
+    chunk is kept past its turn."""
+    positions = {name: i for i, name in enumerate(names)}
+
+    def blocks(used):
+        for name in used:
+            if name not in positions:
+                raise ColumnNotFoundError(name)
+        columns = [positions[name] for name in used]
+        if columns == list(range(len(names))):
+            columns = slice(None)  # a view, not a copy
+        # One buffer serves every full block; each is summed before the next.
+        size, filled = _BLOCK_ROWS, 0
+        block = np.empty((len(used), size))
+        for chunk in chunks:
+            start = 0
+            while start < len(chunk):
+                take = min(size - filled, len(chunk) - start)
+                block[:, filled:filled + take] = chunk[start:start + take, columns].T
+                filled, start = filled + take, start + take
+                if filled == size:
+                    yield block
+                    filled = 0
+        if filled:
+            yield block[:, :filled]
+
+    return _fold(directions, blocks)
+
+
+def _fold(directions: Sequence[Direction], blocks) -> Lattice:
+    """The exact lattice over ``directions`` from ``blocks(names)``: the
+    column blocks, a row per name of ``names`` (the columns the
+    directions read, in first-use order) and at most ``_BLOCK_ROWS``
+    columns each, that together hold every data row once."""
     keyed = {d.factors: d for d in directions}
     if not keyed:
         raise ValueError("directions must be non-empty")
@@ -227,14 +275,10 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
         raise ValueError("directions must include unity")
 
     names = list(dict.fromkeys(f for key in keyed for f in key))
-    columns = [data.column(name) for name in names]
     factors = tuple(tuple(map(names.index, key)) for key in keyed)
     totals = low = None  # low: each direction's exponent in totals
-    for start in range(0, data.n, _BLOCK_ROWS):
-        block = np.array([c[start:start + _BLOCK_ROWS] for c in columns])
-        sums, exps, pairs = _block_vertices(
-            block.reshape(len(columns), min(_BLOCK_ROWS, data.n - start)),
-            factors)
+    for block in blocks(names):
+        sums, exps, pairs = _block_vertices(block, factors)
         if totals is None:
             totals, low = sums, exps
             continue

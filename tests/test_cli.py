@@ -8,9 +8,8 @@ import jsonschema
 import pytest
 
 import latreg.cli
-import latreg.estimators
+import latreg.dataio
 import latreg.lattice
-import latreg.means
 from latreg import REPORT_SCHEMA
 from latreg.cli import main
 
@@ -333,26 +332,27 @@ REQUESTS = [
 class TestOneLatticePerRequest:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts build_lattice calls through every module that binds it."""
+        """Counts the lattices folded from data rows, through
+        build_lattice or read_lattice alike."""
         calls = []
-        original = latreg.lattice.build_lattice
+        original = latreg.lattice._fold
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (latreg.lattice, latreg.estimators, latreg.cli):
-            monkeypatch.setattr(module, "build_lattice", counting)
+        monkeypatch.setattr(latreg.lattice, "_fold", counting)
         return calls
 
     @pytest.fixture
     def reads(self, monkeypatch, builds):
-        """(method, argument, inside) for every Dataset.column and
-        Dataset.evaluate call, ``inside`` telling whether a build_lattice
-        call was running."""
+        """(source, argument, inside) for every block of rows parsed from
+        the CSV (argument: its first row) and every Dataset.column and
+        Dataset.evaluate call, ``inside`` telling whether a fold was
+        running."""
         log = []
         depth = [0]
-        counting = latreg.lattice.build_lattice
+        counting = latreg.lattice._fold
 
         def nested(*args, **kwargs):
             depth[0] += 1
@@ -361,9 +361,15 @@ class TestOneLatticePerRequest:
             finally:
                 depth[0] -= 1
 
-        for module in (latreg.lattice, latreg.estimators, latreg.means,
-                       latreg.cli):
-            monkeypatch.setattr(module, "build_lattice", nested)
+        monkeypatch.setattr(latreg.lattice, "_fold", nested)
+        original_blocks = latreg.dataio._blocks
+
+        def blocks(*args, **kwargs):
+            for block, first in original_blocks(*args, **kwargs):
+                log.append(("block", first, depth[0] > 0))
+                yield block, first
+
+        monkeypatch.setattr(latreg.dataio, "_blocks", blocks)
         for method in ("column", "evaluate"):
             original = getattr(latreg.lattice.Dataset, method)
 
@@ -382,15 +388,16 @@ class TestOneLatticePerRequest:
 
     @pytest.mark.parametrize("argv", REQUESTS)
     def test_one_data_pass(self, capsys, d2_path, builds, reads, argv):
-        # Each column is read once, inside the one build_lattice call;
-        # fits, catalog and means read only the lattice.
+        # Each block of rows is parsed once, inside the one fold, and no
+        # Dataset holds the rows; fits, catalog and means read only the
+        # lattice.
         code, _, _ = run(capsys, *argv, "--input", d2_path, "--format", "json")
         assert code == 0
         assert len(builds) == 1
         assert reads and all(inside for _, _, inside in reads)
-        assert {method for method, _, _ in reads} == {"column"}
-        names = [name for _, name, _ in reads]
-        assert len(names) == len(set(names))
+        assert {source for source, _, _ in reads} == {"block"}
+        firsts = [first for _, first, _ in reads]
+        assert len(firsts) == len(set(firsts))
 
 
 class TestSimulate:

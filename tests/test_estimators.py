@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from latreg import (ColumnNotFoundError, Dataset, DeterminantKind, Direction,
-                    MissingVertexError, ModelSpec, SingularSystemError, UNITY,
+                    MissingVertexError, ModelSpec, NonFiniteResultError,
+                    SingularSystemError, UNITY,
                     build_lattice, fit, fit_all_rotations, form_determinant,
                     measure_catalog, residual_report, solve)
 
@@ -366,6 +367,19 @@ class TestResidualReport:
         result = fit(data, spec(Y, UNITY))
         report = residual_report(result, data)
         assert report["sse"] == 0.0
+
+    def test_sse_outside_float_range_raises(self):
+        # Each squared residual overflows; FitResult.sse names the same value.
+        data = Dataset({"x": [1e200, 2e200, 3e200],
+                        "y": [2e200, 3.5e200, 6e200]})
+        result = fit(data, spec(Y, UNITY, X))
+        message = "SSE of 'y = 1 + x' is outside the float range"
+        with pytest.raises(NonFiniteResultError) as info:
+            residual_report(result, data)
+        assert str(info.value) == message
+        with pytest.raises(NonFiniteResultError) as info:
+            result.sse
+        assert str(info.value) == message
 
     def test_matches_per_row_sums(self):
         rng = np.random.default_rng(53)
