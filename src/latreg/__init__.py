@@ -15,7 +15,7 @@ means
     The vertex-based mean operator and the standard, self-weighting,
     and randomly weighted mean families.
 estimators
-    Cramer's-rule fitting on a shared lattice, rotation sweeps, and
+    Fitting by cofactor rows of one vertex matrix, rotation sweeps, and
     residual reports.
 dataio
     CSV ingestion and report serialization (text and JSON).

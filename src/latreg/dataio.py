@@ -132,7 +132,7 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
                              refcheck=False)
             table[first - 1:end] = block
     table.resize((end, len(names)), refcheck=False)
-    return Dataset({name: table[:, i] for i, name in enumerate(names)})
+    return Dataset._of_table(names, table.T)  # its values are checked finite
 
 
 def read_lattice(source: str | Path | IO[str] | IO[bytes],

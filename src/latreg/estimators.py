@@ -1,4 +1,4 @@
-"""Cramer's-rule fitting over vertex determinants, for all rotations.
+"""Fitting by cofactor rows of the vertex matrix, for all rotations.
 
 A model is a response direction and one to three regressor directions.
 When the response is unity the model is implicit ("non-response"): the
@@ -7,12 +7,13 @@ rather than in any single variable.  Rotational analysis refits the same
 direction set with each member, unity included, taking the response
 role in turn.
 
-Coefficients come from Cramer's rule on the normal equations
-G c = r with G[i][j] = V(reg_i, reg_j) and r[i] = V(reg_i, response):
-each is the ratio of a column-replaced determinant to the system
-determinant.  For the line y on x the slope numerator is the covariance
-determinant n sum(xy) - sum(x) sum(y), the textbook one; the same
-determinant with its unity column reversed is its exact negation.
+Coefficients come from the cofactor matrix C of the integer vertex
+matrix G over (response, regressors...): the fit with response r has
+system determinant C[r][r] and numerator -C[r][j] for regressor j
+(Cramer's rule), so one C serves every rotation.  For the line y on x
+the slope numerator is the covariance determinant n sum(xy) - sum(x)
+sum(y), the textbook one; the same determinant with its unity column
+reversed is its exact negation.
 
 Coefficients, determinants and the SSE read only the exact vertices of
 :mod:`latreg.lattice` and are rounded once, so a system is singular
@@ -29,6 +30,7 @@ lattice serves a whole request::
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import LatregError, NonFiniteResultError, SingularSystemError
 from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice,
-                      exact_det, lattice_over, rounded)
+                      cofactor, lattice_over, rounded)
 
 __all__ = [
     "ModelSpec",
@@ -85,7 +87,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a Cramer's-rule fit.
+    """Outcome of a fit read from one cofactor row.
 
     ``coefficients[i] * denominator == numerators[i]`` exactly;
     ``denominator`` is the system determinant (the variance determinant
@@ -124,16 +126,14 @@ class FitResult:
     def sse(self) -> float:
         """w' V w over (response, regressors) with w = (1, -c_1, ...,
         -c_k): sum_i (r_i - sum_j c_j x_ij)^2, exactly."""
-        lat = self.lattice
-        dirs = (self.spec.response, *self.spec.regressors)
+        g, exps = self.lattice.matrix((self.spec.response, *self.spec.regressors))
         weights = [(1, 1)] + [(-c).as_integer_ratio() for c in self.coefficients]
         # w_d 2^e_d = m_d 2^low, with a power-of-two denominator q: 2^(1 - q.bit_length()).
-        scaled = [(m, lat.exponent(d) + 1 - q.bit_length())
-                  for (m, q), d in zip(weights, dirs)]
+        scaled = [(m, e + 1 - q.bit_length()) for (m, q), e in zip(weights, exps)]
         low = min(e for _, e in scaled)
         w = [m << (e - low) for m, e in scaled]
-        total = sum(w[i] * w[j] * lat.exact(a, b)
-                    for i, a in enumerate(dirs) for j, b in enumerate(dirs))
+        total = sum(wi * wj * gij for wi, row in zip(w, g)
+                    for wj, gij in zip(w, row))
         return rounded(total, 2 * low, "SSE of {0.label!r}", self.spec)
 
     def predict(self, data: Dataset) -> np.ndarray:
@@ -145,20 +145,28 @@ class FitResult:
 
 
 def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
-    """Fit a model by Cramer's rule over a lattice that caches its
-    directions (:class:`~latreg.errors.MissingVertexError` otherwise); no
-    row is read.  Raises :class:`SingularSystemError` when the exact
-    system determinant is 0 (collinear regressors)."""
-    regs, resp = spec.regressors, spec.response
-    den = exact_det(lat, regs, regs)
-    if den[0] == 0:
+    """Fit a model from row 0 of the cofactor matrix over (response,
+    regressors...), read from a lattice that caches those directions
+    (:class:`~latreg.errors.MissingVertexError` otherwise); no row is
+    read.  Raises :class:`SingularSystemError` when the exact system
+    determinant is 0 (collinear regressors)."""
+    g, exps = lat.matrix((spec.response, *spec.regressors))
+    return _cofactor_fit(lat, spec, [cofactor(g, 0, j) for j in range(len(g))],
+                         0, exps)
+
+
+def _cofactor_fit(lat: Lattice, spec: ModelSpec, row: Sequence[int], r: int,
+                  exps: Sequence[int]) -> FitResult:
+    """``spec`` from row r of the cofactor matrix over its directions, the
+    response at r: cofactor (i, j) carries 2^(2 sum(e) - e_i - e_j)."""
+    if row[r] == 0:
         raise SingularSystemError(
             f"singular normal equations for {spec.label!r} (determinant 0.0)",
             determinant=0.0)
-    # Cramer's rule: numerator i replaces regressor column i by the response.
-    nums = tuple(exact_det(lat, regs, regs[:i] + (resp,) + regs[i + 1:])
-                 for i in range(len(regs)))
-    return FitResult(spec, lat, den, nums)
+    total = 2 * sum(exps) - exps[r]
+    return FitResult(spec, lat, (row[r], total - exps[r]),
+                     tuple((-c, total - e) for j, (c, e) in enumerate(zip(row, exps))
+                           if j != r))
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
@@ -203,13 +211,17 @@ def fit_all_rotations(source: Dataset | Lattice,
         raise ValueError("rotation directions must include unity")
 
     lat = lattice_over(source, dirs)
-    responses = [d for d in dirs if not d.is_unity] + [UNITY]
+    g, exps = lat.matrix(dirs)
+    cof = [[0] * len(g) for _ in g]
+    for i, j in itertools.combinations_with_replacement(range(len(g)), 2):
+        cof[i][j] = cof[j][i] = cofactor(g, i, j)  # G is symmetric
     results = []
-    for resp in responses:
-        regressors = tuple(d for d in dirs if d != resp)
-        spec = ModelSpec(response=resp, regressors=regressors)
+    for resp in [d for d in dirs if not d.is_unity] + [UNITY]:
+        r = dirs.index(resp)
+        spec = ModelSpec(response=resp, regressors=tuple(dirs[:r] + dirs[r + 1:]))
         try:
-            results.append(RotationResult(response=resp, fit=solve(lat, spec)))
+            results.append(RotationResult(
+                response=resp, fit=_cofactor_fit(lat, spec, cof[r], r, exps)))
         except SingularSystemError as err:
             results.append(RotationResult(response=resp, error=err))
     return results

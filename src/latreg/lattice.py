@@ -7,16 +7,19 @@ directions is the sum over rows of their product,
     V(a, b) = sum_i a_i * b_i,
 
 so V(1, 1) = n, V(1, x) = sum(x), V(x, y) = sum(x * y), and so on.  A
-:class:`Lattice` caches all pairwise vertices for a set of directions.
-Products of vertex values ("joins") combine into signed 2x2 and 3x3
-determinants; these carry the sufficient statistics for every least
-squares fit in :mod:`latreg.estimators`:
+:class:`Lattice` caches all pairwise vertices for a set of directions,
+and :meth:`Lattice.matrix` reads them as one integer matrix G.  Every
+determinant of the family is a minor of G, taken by its closed form
+(:func:`minor`), and these carry the sufficient statistics for every
+least squares fit in :mod:`latreg.estimators`:
 
     det2(a, b, c, d) = V(a,b) V(c,d) - V(a,d) V(c,b)
 
 covers the variance family (for instance det2(1,1,x,x) = n sum(x^2) -
-sum(x)^2, which is n^2 times the population variance), and 3x3
-determinants over a vertex matrix cover the three-regressor systems.
+sum(x)^2, which is n^2 times the population variance), and 3x3 minors
+cover the three-regressor systems.  Over (1, x, y) the six catalog
+determinants are the six distinct cofactors of G, and the fits of
+every rotation are the rows of its cofactor matrix.
 
 Every vertex is exact: a Python integer times 2^(e_a + e_b), summed by
 :func:`build_lattice` from 20-bit limbs of the data held as float64, in
@@ -100,35 +103,48 @@ UNITY = Direction()
 class Dataset:
     """Named numeric columns of equal length n >= 1.
 
-    Columns are stored as read-only float64 arrays; the dataset is
-    immutable after construction and safe to share across threads.
-    Degenerate but well-formed data (n = 1, constant columns) is accepted
-    here; degeneracy only matters, and is diagnosed, when determinants
-    are solved.
+    The columns are the rows of one read-only float64 table, so the
+    dataset is immutable after construction and safe to share across
+    threads.  Degenerate but well-formed data (n = 1, constant columns)
+    is accepted here; degeneracy only matters, and is diagnosed, when
+    determinants are solved.
     """
 
     def __init__(self, columns: Mapping[str, Sequence[float] | np.ndarray]):
         if not columns:
             raise EmptyDataError("dataset has no columns")
-        cols: dict[str, np.ndarray] = {}
-        n: int | None = None
-        for name, values in columns.items():
-            arr = np.array(values, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"column {name!r} is not one-dimensional")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise ValueError(
-                    f"column {name!r} has length {arr.shape[0]}, expected {n}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"column {name!r} contains non-finite values")
-            arr.flags.writeable = False
-            cols[name] = arr
-        if n == 0:
+        try:
+            table = np.array(list(columns.values()), dtype=float)
+        except ValueError:  # ragged: the checks below name the column
+            table = np.empty(0)
+        if table.ndim != 2 or not np.isfinite(table).all():
+            first = np.asarray(next(iter(columns.values())), dtype=float)
+            for name, values in columns.items():
+                arr = np.asarray(values, dtype=float)
+                if arr.ndim != 1:
+                    raise ValueError(f"column {name!r} is not one-dimensional")
+                if arr.shape != first.shape:
+                    raise ValueError(f"column {name!r} has length {len(arr)}, "
+                                     f"expected {len(first)}")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"column {name!r} contains non-finite values")
+        self._hold(columns, table)
+
+    @classmethod
+    def _of_table(cls, names: Sequence[str], table: np.ndarray) -> "Dataset":
+        """A dataset over ``table`` itself, a (k, n) array of finite floats
+        with a row per name of ``names``, without a copy."""
+        data = cls.__new__(cls)
+        data._hold(names, table)
+        return data
+
+    def _hold(self, names: Iterable[str], table: np.ndarray) -> None:
+        if table.shape[1] == 0:
             raise EmptyDataError("dataset has no rows")
-        self._columns = cols
-        self.n: int = int(n)  # type: ignore[arg-type]
+        table.flags.writeable = False
+        self._table = table
+        self._columns = dict(zip(names, table))
+        self.n: int = table.shape[1]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -184,6 +200,19 @@ class Lattice:
                 f"vertex ({a.label}, {b.label}) is not cached; "
                 "rebuild the lattice with both directions") from None
 
+    def matrix(self, directions: Sequence[Direction]
+               ) -> tuple[list[list[int]], list[int]]:
+        """The integer matrix G[i][j] = exact(d_i, d_j) over ``directions``
+        and each exponent e_i, so V(d_i, d_j) = G[i][j] 2^(e_i + e_j)."""
+        keys = [d.factors for d in directions]
+        try:
+            return ([[self._vertices[a, b] for b in keys] for a in keys],
+                    [self._exponents[k] for k in keys])
+        except KeyError:
+            for a, b in itertools.product(directions, repeat=2):
+                self.exact(a, b)  # raises, naming the first pair missing
+            raise
+
     def exponent(self, d: Direction) -> int:
         """The binary exponent e_d of a cached direction."""
         return self._exponents[d.factors]
@@ -221,10 +250,11 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
     def blocks(names):
-        columns = [data.column(name) for name in names]
+        for name in names:
+            data.column(name)  # a missing one raises ColumnNotFoundError
+        rows = list(map(data.names.index, names))
         for start in range(0, data.n, _BLOCK_ROWS):
-            yield np.array([c[start:start + _BLOCK_ROWS] for c in columns]
-                           ).reshape(len(columns), min(_BLOCK_ROWS, data.n - start))
+            yield data._table[rows, start:start + _BLOCK_ROWS]
 
     return _fold(directions, blocks)
 
@@ -412,13 +442,15 @@ def lattice_over(source: Dataset | Lattice,
 
 
 def join(lat: Lattice, pairs: Sequence[tuple[Direction, Direction]]) -> float:
-    """Product of two or three cached vertex values, rounded once:
-    ``join(lat, [(a, b), (c, d)])`` is V(a,b) V(c,d), and a third pair
-    gives the three-vertex join of the 3x3 determinants."""
+    """Product of two or three cached vertex values, each a 1x1
+    :func:`minor`, rounded once: ``join(lat, [(a, b), (c, d)])`` is
+    V(a,b) V(c,d), and a third pair gives the three-vertex join of the
+    3x3 determinants."""
     if len(pairs) not in (2, 3):
         raise ValueError(f"join takes 2 or 3 vertex pairs, got {len(pairs)}")
-    return rounded(math.prod(lat.exact(a, b) for a, b in pairs),
-                   sum(lat.exponent(a) + lat.exponent(b) for a, b in pairs),
+    m, at, exp = _positions(lat, [d for pair in pairs for d in pair])
+    return rounded(math.prod(minor(m, (r,), (c,))
+                             for r, c in zip(at[0::2], at[1::2])), exp,
                    "join {}", " ".join(f"V({a.label}, {b.label})" for a, b in pairs))
 
 
@@ -426,36 +458,49 @@ def det2(lat: Lattice, a: Direction, b: Direction,
          c: Direction, d: Direction) -> float:
     """Signed difference of joins V(a,b) V(c,d) - V(a,d) V(c,b), rounded
     once; antisymmetric: det2(a,b,c,d) = -det2(a,d,c,b)."""
-    return vertex_matrix_det(lat, (a, c), (b, d))
+    return form_determinant(lat, DeterminantKind.general2(a, b, c, d))
 
 
-def exact_det(lat: Lattice, rows: Sequence[Direction],
-              cols: Sequence[Direction]) -> tuple[int, int]:
-    """Determinant of the 1x1, 2x2 or 3x3 vertex matrix
-    M[i][j] = V(rows[i], cols[j]) as ``(integer, exponent)``: each term
-    carries 2^(sum of the row and column exponents)."""
-    if not len(rows) == len(cols) in (1, 2, 3):
+def minor(m: Sequence[Sequence[int]], rows: Sequence[int],
+          cols: Sequence[int]) -> int:
+    """Determinant of the 1x1, 2x2 or 3x3 submatrix of ``m`` on the
+    indices ``rows`` and ``cols``, by its closed form."""
+    size = len(rows)
+    if size != len(cols) or not 0 < size < 4:
         raise ValueError("vertex matrix must be 1x1, 2x2 or 3x3, "
-                         f"got {len(rows)}x{len(cols)}")
-    m = [[lat.exact(r, c) for c in cols] for r in rows]
-    if len(m) == 1:
-        value = m[0][0]
-    elif len(m) == 2:
-        value = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    else:
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-        value = (m00 * (m11 * m22 - m12 * m21)
-                 - m01 * (m10 * m22 - m12 * m20)
-                 + m02 * (m10 * m21 - m11 * m20))
-    return value, sum(map(lat.exponent, (*rows, *cols)))
+                         f"got {size}x{len(cols)}")
+    if size == 1:
+        return m[rows[0]][cols[0]]
+    if size == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
+    (r0, r1, r2), (d, e, f) = rows, cols
+    a, b, c = m[r0], m[r1], m[r2]
+    return (a[d] * (b[e] * c[f] - b[f] * c[e])
+            - a[e] * (b[d] * c[f] - b[f] * c[d])
+            + a[f] * (b[d] * c[e] - b[e] * c[d]))
 
 
-def vertex_matrix_det(lat: Lattice, rows: Sequence[Direction],
-                      cols: Sequence[Direction]) -> float:
-    """:func:`exact_det` rounded once, named ``determinant delta_``
-    r0 c0 r1 c1 ..."""
-    return rounded(*exact_det(lat, rows, cols), "determinant delta_{}",
-                   _label([d for pair in zip(rows, cols) for d in pair]))
+#: _ALL_BUT[k][i]: the indices 0 to k - 1 without i.
+_ALL_BUT = [[tuple(r for r in range(k) if r != i) for i in range(k)]
+            for k in range(5)]
+
+
+def cofactor(m: Sequence[Sequence[int]], i: int, j: int) -> int:
+    """C[i][j] of a 2x2 to 4x4 ``m``: (-1)^(i + j) times the :func:`minor`
+    without row i and column j."""
+    rest = _ALL_BUT[len(m)]
+    value = minor(m, rest[i], rest[j])
+    return -value if (i + j) % 2 else value
+
+
+def _positions(lat: Lattice, subscripts: Sequence[Direction]):
+    """The lattice's matrix over the directions of ``subscripts``, the
+    position of each subscript in it, and the sum of their exponents."""
+    dirs = list(dict.fromkeys(subscripts))
+    m, exps = lat.matrix(dirs)
+    at = list(map(dirs.index, subscripts))
+    return m, at, sum(map(exps.__getitem__, at))
 
 
 def _label(subscripts: Sequence[Direction]) -> str:
@@ -468,7 +513,8 @@ def det3_general(lat: Lattice, rows: Sequence[Direction],
     the signed sum of the six three-vertex joins."""
     if len(rows) != 3 or len(cols) != 3:
         raise ValueError("det3_general takes exactly 3 row and 3 column directions")
-    return vertex_matrix_det(lat, rows, cols)
+    return form_determinant(lat, DeterminantKind(
+        "general3", tuple(d for pair in zip(rows, cols) for d in pair)))
 
 
 @dataclass(frozen=True)
@@ -531,9 +577,12 @@ class DeterminantKind:
 
 
 def form_determinant(lat: Lattice, kind: DeterminantKind) -> float:
-    """Any member of the determinant family: the :func:`vertex_matrix_det`
-    over rows ``subscripts[0::2]`` and columns ``subscripts[1::2]``."""
-    return vertex_matrix_det(lat, kind.subscripts[0::2], kind.subscripts[1::2])
+    """Any member of the determinant family: the determinant of the
+    vertex matrix over rows ``subscripts[0::2]`` and columns
+    ``subscripts[1::2]``, rounded once and named ``determinant delta_``
+    plus its subscripts."""
+    return rounded(*_kind_det(lat, kind), "determinant delta_{}",
+                   _label(kind.subscripts))
 
 
 def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
@@ -548,7 +597,11 @@ def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
 
 
 def _kind_det(lat: Lattice, kind: DeterminantKind) -> tuple[int, int]:
-    return exact_det(lat, kind.subscripts[0::2], kind.subscripts[1::2])
+    """The determinant of ``kind`` as ``(integer, exponent)``: a
+    :func:`minor` of the lattice's matrix, whose terms each carry 2^(sum
+    of the subscripts' exponents)."""
+    m, at, exp = _positions(lat, kind.subscripts)
+    return minor(m, at[0::2], at[1::2]), exp
 
 
 def measure_catalog(source: Dataset | Lattice,
@@ -561,36 +614,40 @@ def measure_catalog(source: Dataset | Lattice,
     naming of the determinant family: ``v_1x`` for vertices, ``delta_``
     plus a kind's subscript labels (``delta_11xx``), and ``sigma_11xx``
     for the delta / n^2 of the 2x2 kinds; each entry is exact, rounded
-    once.  Keys concatenate column names, so ``ValueError`` is raised
+    once, and each delta a :func:`minor` of one read of the lattice's
+    matrix G over (1, columns...): ``delta_xxyyzz`` is its cofactor
+    C[0][0].  Keys concatenate column names, so ``ValueError`` is raised
     when two entries would share one, as for a column named 1.
     """
     if len(columns) not in (2, 3):
         raise ValueError("measure catalog requires 2 or 3 columns")
     if len(set(columns)) != len(columns):
         raise ValueError("measure catalog columns must be distinct")
-    dirs = [Direction(c) for c in columns]
-    axes = [UNITY, *dirs]
+    axes = [UNITY, *map(Direction, columns)]
     lat = lattice_over(source, axes)
     entries = [(f"v_{a.label}{b.label}", lat.vertex(a, b))
                for i, a in enumerate(axes) for b in axes[i:]]
 
-    pairs = list(itertools.combinations(dirs, 2))
-    kinds = [DeterminantKind.variance(a) for a in dirs]
-    kinds += [DeterminantKind.covariance(a, b) for a, b in pairs]
+    # Subscripts as positions in G, in DeterminantKind's terms: variance,
+    # covariance, internal covariance both ways, base variance, form1.
+    m, exps = lat.matrix(axes)
+    labels = [d.label for d in axes]
+    cols = range(1, len(axes))
+    pairs = list(itertools.combinations(cols, 2))
+    kinds = [(0, 0, a, a) for a in cols]
+    kinds += [(0, 0, a, b) for a, b in pairs]
     for a, b in pairs:
-        kinds.append(DeterminantKind.internal_covariance(b, a))
-        kinds.append(DeterminantKind.internal_covariance(a, b))
-    kinds += [DeterminantKind.base_variance(a, b) for a, b in pairs]
-    if len(dirs) == 3:
-        kinds.append(DeterminantKind.form1(*dirs))
-
-    dets = [(kind, _label(kind.subscripts), _kind_det(lat, kind))
-            for kind in kinds]
-    entries += [("delta_" + key, rounded(*det, "determinant delta_{}", key))
-                for _, key, det in dets]
-    n = lat.exact(UNITY, UNITY)
-    entries += [("sigma_" + key, rounded(*det, "sigma_{}", key, den=n * n))
-                for kind, key, det in dets if len(kind.subscripts) == 4]
+        kinds += [(0, b, a, a), (0, a, b, b)]
+    kinds += [(a, a, b, b) for a, b in pairs]
+    if len(axes) == 4:
+        kinds.append((1, 1, 2, 2, 3, 3))
+    dets = [("".join(map(labels.__getitem__, s)), minor(m, s[0::2], s[1::2]),
+             sum(map(exps.__getitem__, s)), len(s)) for s in kinds]
+    entries += [("delta_" + key, rounded(det, exp, "determinant delta_{}", key))
+                for key, det, exp, _ in dets]
+    n = m[0][0]
+    entries += [("sigma_" + key, rounded(det, exp, "sigma_{}", key, den=n * n))
+                for key, det, exp, size in dets if size == 4]
 
     out: dict[str, float] = {}
     for key, value in entries:

@@ -300,11 +300,13 @@ class TestSharedLattice:
 
     def test_missing_direction_raises(self, d2):
         lat = build_lattice(d2, [UNITY, X, Y])
-        with pytest.raises(MissingVertexError):
+        # Each names the first pair it lacks, reading its matrix row by row.
+        missing = r"^vertex \({}, z\) is not cached; rebuild the lattice"
+        with pytest.raises(MissingVertexError, match=missing.format("y")):
             solve(lat, spec(Y, UNITY, Z))
-        with pytest.raises(MissingVertexError):
+        with pytest.raises(MissingVertexError, match=missing.format("1")):
             fit_all_rotations(lat, [UNITY, X, Z])
-        with pytest.raises(MissingVertexError):
+        with pytest.raises(MissingVertexError, match=missing.format("1")):
             measure_catalog(lat, ["x", "y", "z"])
 
 

@@ -374,15 +374,16 @@ class TestMeasureCatalog:
                              ids=["2-columns", "3-columns"])
     def test_each_determinant_evaluated_once(self, monkeypatch, d2, columns,
                                              calls):
-        # Each exact determinant serves both its delta_ and sigma_ entry.
+        # Each minor of the vertex matrix serves both its delta_ and
+        # sigma_ entry.
         matrices = []
-        original = latreg.lattice.exact_det
+        original = latreg.lattice.minor
 
-        def counting(lat, rows, cols):
+        def counting(m, rows, cols):
             matrices.append((tuple(rows), tuple(cols)))
-            return original(lat, rows, cols)
+            return original(m, rows, cols)
 
-        monkeypatch.setattr(latreg.lattice, "exact_det", counting)
+        monkeypatch.setattr(latreg.lattice, "minor", counting)
         catalog = measure_catalog(d2, columns)
         assert len(matrices) == len(set(matrices)) == calls
         assert sum(key.startswith("delta_") for key in catalog) == calls
