@@ -182,19 +182,21 @@ class Lattice:
     """Exact pairwise vertices V(a, b) over a dataset, built by
     :func:`build_lattice`; immutable.  The directions may be products, so
     interaction terms induce higher-order sums.  V(a, b) is the integer
-    ``exact(a, b)`` times 2^(``exponent(a)`` + ``exponent(b)``).
+    ``exact(a, b)`` times 2^(``exponent(a)`` + ``exponent(b)``): over
+    distinct ``directions`` d_i, ``vertices[i][j]`` and ``exponents[i]``.
     """
 
     def __init__(self, directions: Sequence[Direction],
-                 vertices: Mapping[tuple, int], exponents: Mapping[tuple, int]):
+                 vertices: Sequence[Sequence[int]], exponents: Sequence[int]):
         self.directions = tuple(directions)
+        self._at = {d.factors: i for i, d in enumerate(self.directions)}
         self._vertices = vertices
         self._exponents = exponents
 
     def exact(self, a: Direction, b: Direction) -> int:
         """V(a, b) / 2^(exponent(a) + exponent(b)); symmetric."""
         try:
-            return self._vertices[a.factors, b.factors]
+            return self._vertices[self._at[a.factors]][self._at[b.factors]]
         except KeyError:
             raise MissingVertexError(
                 f"vertex ({a.label}, {b.label}) is not cached; "
@@ -204,18 +206,23 @@ class Lattice:
                ) -> tuple[list[list[int]], list[int]]:
         """The integer matrix G[i][j] = exact(d_i, d_j) over ``directions``
         and each exponent e_i, so V(d_i, d_j) = G[i][j] 2^(e_i + e_j)."""
-        keys = [d.factors for d in directions]
         try:
-            return ([[self._vertices[a, b] for b in keys] for a in keys],
-                    [self._exponents[k] for k in keys])
+            at = [self._at[d.factors] for d in directions]
         except KeyError:
             for a, b in itertools.product(directions, repeat=2):
                 self.exact(a, b)  # raises, naming the first pair missing
             raise
+        return ([[row[j] for j in at] for row in map(self._vertices.__getitem__, at)],
+                list(map(self._exponents.__getitem__, at)))
 
     def exponent(self, d: Direction) -> int:
         """The binary exponent e_d of a cached direction."""
-        return self._exponents[d.factors]
+        try:
+            return self._exponents[self._at[d.factors]]
+        except KeyError:
+            raise MissingVertexError(
+                f"direction {d.label} is not cached; "
+                "rebuild the lattice with it") from None
 
     def vertex(self, a: Direction, b: Direction) -> float:
         """V(a, b), rounded once; symmetric."""
@@ -252,7 +259,7 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     def blocks(names):
         for name in names:
             data.column(name)  # a missing one raises ColumnNotFoundError
-        rows = list(map(data.names.index, names))
+        rows = _run(list(map(data.names.index, names)))
         for start in range(0, data.n, _BLOCK_ROWS):
             yield data._table[rows, start:start + _BLOCK_ROWS]
 
@@ -272,9 +279,7 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
         for name in used:
             if name not in positions:
                 raise ColumnNotFoundError(name)
-        columns = [positions[name] for name in used]
-        if columns == list(range(len(names))):
-            columns = slice(None)  # a view, not a copy
+        columns = _run([positions[name] for name in used])
         # One buffer serves every full block; each is summed before the next.
         size, filled = _BLOCK_ROWS, 0
         block = np.empty((len(used), size))
@@ -293,6 +298,14 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
     return _fold(directions, blocks)
 
 
+def _run(index: list[int]) -> list[int] | slice:
+    """``index`` as a slice if it is a contiguous, in-order run, so that
+    indexing with it makes a view, not a copy."""
+    first = min(index, default=0)
+    whole = slice(first, first + len(index))
+    return whole if index == list(range(whole.start, whole.stop)) else index
+
+
 def _fold(directions: Sequence[Direction], blocks) -> Lattice:
     """The exact lattice over ``directions`` from ``blocks(names)``: the
     column blocks, a row per name of ``names`` (the columns the
@@ -304,8 +317,7 @@ def _fold(directions: Sequence[Direction], blocks) -> Lattice:
     if () not in keyed:
         raise ValueError("directions must include unity")
 
-    names = list(dict.fromkeys(f for key in keyed for f in key))
-    factors = tuple(tuple(map(names.index, key)) for key in keyed)
+    names, factors = _plan(tuple(keyed))
     totals = low = None  # low: each direction's exponent in totals
     for block in blocks(names):
         sums, exps, pairs = _block_vertices(block, factors)
@@ -317,11 +329,10 @@ def _fold(directions: Sequence[Direction], blocks) -> Lattice:
                   + (v << exps[i] - new[i] + exps[j] - new[j])
                   for t, v, (i, j) in zip(totals, sums, pairs)]
         low = new
-    keys = list(keyed)
-    vertices = {}
+    vertices = [[0] * len(keyed) for _ in keyed]
     for t, (i, j) in zip(totals, pairs):
-        vertices[keys[i], keys[j]] = vertices[keys[j], keys[i]] = t
-    return Lattice(keyed.values(), vertices, dict(zip(keys, low)))
+        vertices[i][j] = vertices[j][i] = t
+    return Lattice(keyed.values(), vertices, low)
 
 
 def _block_vertices(values: np.ndarray, factors):
@@ -342,93 +353,90 @@ def _block_vertices(values: np.ndarray, factors):
         bits = max(bits, math.frexp(top)[1] - e)
     limbs = max(1, -(-bits // _LIMB_BITS))
     m, n = values.shape
-    starts, widths, size, pairs, terms, bounds, ends, lower = _layout(
-        factors, m, limbs)
+    size, at, pairs, terms, bounds, steps, ends = _layout(factors, m, limbs)
     rows = np.empty((size, n))
     rows[0] = 1.0
 
     # Limb k of v 2^-e is trunc(v 2^-(e + 20k)) - 2^20 trunc(v 2^-(e + 20(k + 1))),
-    # the top one the first term alone, since |v| < 2^(e + 20 limbs).  Powers
-    # of two past 2^1023 take a second factor; a factor rounds only a level
-    # below 1, which trunc takes to 0.  A level that overflows, or 2^20 times
-    # which does, lies above its value's top bit: it and its limb are 0.
-    digits = rows[1:1 + m * limbs].reshape(m, limbs, n)
-    shifts = [-(e + _LIMB_BITS * k) for e in exps for k in range(limbs)]
+    # the top one the first term alone, since |v| < 2^(e + 20 limbs); every
+    # limb has the sign of v.  ldexp scales in one exact step, but for a
+    # level below 1, which it may round and trunc takes to 0.  A level that
+    # overflows, or 2^20 times which does, lies above its value's top bit:
+    # it and its limb are 0.
+    digits = rows[1:1 + limbs * m].reshape(limbs, m, n)
+    shifts = [-(e + _LIMB_BITS * k) for k in range(limbs) for e in exps]
     with (np.errstate(over="ignore", invalid="ignore") if bits > 1023
           else contextlib.nullcontext()):
-        np.multiply(values.reshape(m, 1, n), np.array(
-            [2.0 ** min(s, 1023) for s in shifts]).reshape(m, limbs, 1), out=digits)
-        if min(exps, default=0) < -1023:
-            digits *= np.array([2.0 ** max(s - 1023, 0)
-                                for s in shifts]).reshape(m, limbs, 1)
+        np.ldexp(values.reshape(1, m, n),
+                 np.array(shifts, np.int32).reshape(limbs, m, 1), out=digits)
         np.trunc(digits, out=digits)
-        if bits > 1023:
-            digits[~np.isfinite(digits)] = 0.0
-        rows[1:m * limbs] -= lower * rows[2:1 + m * limbs]
+        digits[:-1] -= 2.0 ** _LIMB_BITS * digits[1:]
         if bits > 1023:
             digits[~np.isfinite(digits)] = 0.0
     for d, f in enumerate(factors):
         if len(f) > 1:
-            # The sign of a product of the signs never overflows.
-            np.copysign(functools.reduce(_limb_product, np.abs(digits[list(f)])),
-                        np.prod(np.sign(values[list(f)]), axis=0),
-                        out=rows[starts[d]:starts[d] + widths[d]])
+            rows[at[d].start:at[d].stop] = functools.reduce(
+                _limb_product, digits[:, list(f)].astype(np.int64).swapaxes(0, 1))
     gram = (rows @ rows.T).astype(np.int64).reshape(-1)
     diagonals = np.add.reduceat(gram[terms], bounds).tolist()
-    return ([sum(map(operator.lshift, diagonals[a:b], _STEPS))
-             for a, b in zip(ends, ends[1:])],
+    running = [0, *itertools.accumulate(map(operator.lshift, diagonals, steps))]
+    return ([running[b] - running[a] for a, b in zip(ends, ends[1:])],
             [sum(map(exps.__getitem__, f)) for f in factors], pairs)
 
 
-#: Shifts of successive limbs: 0, 20, 40, ...
-_STEPS = range(0, 1 << 20, _LIMB_BITS)
+@functools.lru_cache(maxsize=256)
+def _plan(keys):
+    """For distinct directions' factor tuples ``keys``: the columns they
+    read, in first-use order, and each direction's factors as positions
+    in that list."""
+    names = tuple(dict.fromkeys(f for key in keys for f in key))
+    return names, tuple(tuple(map(names.index, key)) for key in keys)
 
 
 @functools.lru_cache(maxsize=256)
 def _layout(factors, m, limbs):
-    """Where each direction's limb rows lie in a block (unity, each
-    column, each product), and which Gram entries make each pair's vertex:
-    the sum over limbs p, q of entry (p, q) 2^(20(p + q)).  ``terms`` lists
-    flat entries by pair, then by p + q; those of one p + q start at
-    ``bounds`` and sum exactly in int64 (a few hundred, each below 2^53);
-    ``ends`` bounds each pair's run of sums.  ``lower`` holds, for each
-    column limb row but the last, 2^20 if the next row is the next limb
-    of the same column and 0 if not."""
-    widths = [limbs * len(f) or 1 for f in factors]
-    starts = [1 + f[0] * limbs if len(f) == 1 else 0 for f in factors]
-    pairs = [(i, j) for i in range(len(factors)) for j in range(i, len(factors))]
-    size = 1 + m * limbs
-    for d, f in enumerate(factors):
+    """The rows of a block's limbs: row 0 holds unity and row 1 + km + c
+    limb k of column c, and each product's limbs follow in a run;
+    ``at`` gives each direction's rows, least significant first.  Also
+    which Gram entries make each pair's vertex: the sum over limbs p, q
+    of entry (p, q) 2^(20(p + q)).  ``terms`` lists flat entries by
+    pair, then by p + q; those of one p + q start at ``bounds`` and sum
+    exactly in int64 (a few hundred, each below 2^53); ``steps`` holds
+    each sum's shift 20(p + q), and ``ends`` bounds each pair's run of
+    sums."""
+    size, at = 1 + limbs * m, []
+    for f in factors:
         if len(f) > 1:
-            starts[d], size = size, size + widths[d]
-    terms, bounds, ends = [], [], [0]
+            at.append(range(size, size + limbs * len(f)))
+            size += limbs * len(f)
+        else:
+            at.append(range(1 + f[0], 1 + limbs * m, m) if f else range(1))
+    pairs = tuple(itertools.combinations_with_replacement(range(len(factors)), 2))
+    terms, bounds, steps, ends = [], [], [], [0]
     for i, j in pairs:
-        for k in range(widths[i] + widths[j] - 1):
+        a, b = at[i], at[j]
+        for k in range(len(a) + len(b) - 1):
             bounds.append(len(terms))
-            terms += [(starts[i] + p) * size + starts[j] + k - p
-                      for p in range(max(0, k - widths[j] + 1), min(k, widths[i] - 1) + 1)]
+            steps.append(_LIMB_BITS * k)
+            terms += [a[p] * size + b[k - p]
+                      for p in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)]
         ends.append(len(bounds))
-    lower = [2.0 ** _LIMB_BITS * bool((r + 1) % limbs) for r in range(m * limbs - 1)]
-    return (tuple(starts), tuple(widths), size, tuple(pairs), np.array(terms),
-            np.array(bounds), tuple(ends), np.array(lower).reshape(-1, 1))
+    return (size, tuple(at), pairs, np.array(terms), np.array(bounds),
+            tuple(steps), tuple(ends))
 
 
 def _limb_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Limbs of the product of two nonnegative limb arrays (a row per
-    limb, least significant first), each at most 2^_LIMB_BITS: carrying
-    all limbs at once reaches that bound in a few rounds, and the top
-    limb never carries out."""
-    out = np.zeros((len(a) + len(b), a.shape[1]))
-    term = np.empty_like(b)
+    """Limbs of the product of two int64 limb arrays (a row per limb,
+    least significant first), each of magnitude at most 2^_LIMB_BITS.
+    The products sum below 2^63; carrying each limb into the next, by
+    an arithmetic shift, leaves every limb but the top one in [0, 2^20),
+    and the top one, the product's leading digit, in [-2^20, 2^20)."""
+    out = np.zeros((len(a) + len(b), a.shape[1]), np.int64)
     for i, row in enumerate(a):
-        out[i:i + len(b)] += np.multiply(b, row, out=term)  # below 2^53
-    carry = np.empty_like(out)
-    while out.max(initial=0.0) > 2.0 ** _LIMB_BITS:
-        np.floor(np.multiply(out, 2.0 ** -_LIMB_BITS, out=carry), out=carry)
-        carry *= 2.0 ** _LIMB_BITS
-        out -= carry
-        carry *= 2.0 ** -_LIMB_BITS
-        out[1:] += carry[:-1]
+        out[i:i + len(b)] += b * row
+    for k in range(len(out) - 1):
+        out[k + 1] += out[k] >> _LIMB_BITS
+    out[:-1] &= (1 << _LIMB_BITS) - 1
     return out
 
 
@@ -624,35 +632,43 @@ def measure_catalog(source: Dataset | Lattice,
     if len(set(columns)) != len(columns):
         raise ValueError("measure catalog columns must be distinct")
     axes = [UNITY, *map(Direction, columns)]
-    lat = lattice_over(source, axes)
-    entries = [(f"v_{a.label}{b.label}", lat.vertex(a, b))
-               for i, a in enumerate(axes) for b in axes[i:]]
+    m, exps = lattice_over(source, axes).matrix(axes)
+    labels = tuple(d.label for d in axes)
+    cells, kinds = _catalog(labels)
+    entries = [("v_" + key, rounded(m[i][j], exps[i] + exps[j], "vertex V({}, {})",
+                                    labels[i], labels[j])) for key, i, j in cells]
+    dets = [(key, minor(m, rows, cols), sum(map(exps.__getitem__, rows + cols)),
+             len(rows)) for key, rows, cols in kinds]
+    entries += [("delta_" + key, rounded(det, exp, "determinant delta_{}", key))
+                for key, det, exp, _ in dets]
+    n = m[0][0]
+    entries += [("sigma_" + key, rounded(det, exp, "sigma_{}", key, den=n * n))
+                for key, det, exp, size in dets if size == 2]
+    out = dict(entries)
+    if len(out) < len(entries):
+        keys = [key for key, _ in entries]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"measure catalog key {key!r} names two "
+                         "entries; rename a column")
+    return out
 
-    # Subscripts as positions in G, in DeterminantKind's terms: variance,
-    # covariance, internal covariance both ways, base variance, form1.
-    m, exps = lat.matrix(axes)
-    labels = [d.label for d in axes]
-    cols = range(1, len(axes))
+
+@functools.lru_cache(maxsize=256)
+def _catalog(labels):
+    """The catalog over axes labelled ``labels``, unity first: each
+    vertex's key and position (i, j) in G, and each determinant's key
+    and subscripts as rows and columns of G, in DeterminantKind's terms:
+    variance, covariance, internal covariance both ways, base variance,
+    form1."""
+    cols = range(1, len(labels))
     pairs = list(itertools.combinations(cols, 2))
     kinds = [(0, 0, a, a) for a in cols]
     kinds += [(0, 0, a, b) for a, b in pairs]
     for a, b in pairs:
         kinds += [(0, b, a, a), (0, a, b, b)]
     kinds += [(a, a, b, b) for a, b in pairs]
-    if len(axes) == 4:
+    if len(labels) == 4:
         kinds.append((1, 1, 2, 2, 3, 3))
-    dets = [("".join(map(labels.__getitem__, s)), minor(m, s[0::2], s[1::2]),
-             sum(map(exps.__getitem__, s)), len(s)) for s in kinds]
-    entries += [("delta_" + key, rounded(det, exp, "determinant delta_{}", key))
-                for key, det, exp, _ in dets]
-    n = m[0][0]
-    entries += [("sigma_" + key, rounded(det, exp, "sigma_{}", key, den=n * n))
-                for key, det, exp, size in dets if size == 4]
-
-    out: dict[str, float] = {}
-    for key, value in entries:
-        if key in out:
-            raise ValueError(f"measure catalog key {key!r} names two "
-                             "entries; rename a column")
-        out[key] = value
-    return out
+    return ([(labels[i] + labels[j], i, j) for i, j in
+             itertools.combinations_with_replacement(range(len(labels)), 2)],
+            [("".join(map(labels.__getitem__, s)), s[0::2], s[1::2]) for s in kinds])
