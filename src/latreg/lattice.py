@@ -235,8 +235,9 @@ class Lattice:
             ", ".join(d.label for d in self.directions))
 
 
-#: Bits per limb.  A product of two limbs is at most 2^40, so a float64
-#: sum of ``_BLOCK_ROWS`` = 2^11 of them is an integer below 2^53: exact.
+#: Bits per limb.  Every limb is below 2^21 in magnitude (a column's below
+#: 2^20), so a product of two is below 2^42, and a float64 sum of
+#: ``_BLOCK_ROWS`` = 2^11 of them an integer below 2^53: exact.
 _LIMB_BITS = 20
 
 #: Rows summed by one matrix product; a block's temporaries stay small.
@@ -427,16 +428,18 @@ def _layout(factors, m, limbs):
 
 def _limb_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Limbs of the product of two int64 limb arrays (a row per limb,
-    least significant first), each of magnitude at most 2^_LIMB_BITS.
-    The products sum below 2^63; carrying each limb into the next, by
-    an arithmetic shift, leaves every limb but the top one in [0, 2^20),
-    and the top one, the product's leading digit, in [-2^20, 2^20)."""
+    least significant first), each limb below 2^21 in magnitude and each
+    value below 2^(20 rows).  The limb products sum below 2^49 (at most
+    105 limbs); two rounds of carrying every limb's bits past the 20th
+    into the next, by an arithmetic shift, leave each limb below 2^20 +
+    2^10 in magnitude, the top one as the product is below 2^(20 rows)."""
     out = np.zeros((len(a) + len(b), a.shape[1]), np.int64)
     for i, row in enumerate(a):
         out[i:i + len(b)] += b * row
-    for k in range(len(out) - 1):
-        out[k + 1] += out[k] >> _LIMB_BITS
-    out[:-1] &= (1 << _LIMB_BITS) - 1
+    for _ in range(2):
+        carry = out[:-1] >> _LIMB_BITS
+        out[:-1] &= (1 << _LIMB_BITS) - 1
+        out[1:] += carry
     return out
 
 
