@@ -182,8 +182,7 @@ class Lattice:
     """Exact pairwise vertices V(a, b) over a dataset, built by
     :func:`build_lattice`; immutable.  The directions may be products, so
     interaction terms induce higher-order sums.  V(a, b) is the integer
-    ``exact(a, b)`` times 2^(``exponent(a)`` + ``exponent(b)``): over
-    distinct ``directions`` d_i, ``vertices[i][j]`` and ``exponents[i]``.
+    ``exact(a, b)`` times 2^(``exponent(a)`` + ``exponent(b)``).
     """
 
     def __init__(self, directions: Sequence[Direction],
@@ -206,12 +205,9 @@ class Lattice:
                ) -> tuple[list[list[int]], list[int]]:
         """The integer matrix G[i][j] = exact(d_i, d_j) over ``directions``
         and each exponent e_i, so V(d_i, d_j) = G[i][j] 2^(e_i + e_j)."""
-        try:
-            at = [self._at[d.factors] for d in directions]
-        except KeyError:
-            for a, b in itertools.product(directions, repeat=2):
-                self.exact(a, b)  # raises, naming the first pair missing
-            raise
+        at = [self._at.get(d.factors) for d in directions]
+        if None in at:  # raises, naming the first pair missing
+            self.exact(directions[0], directions[at.index(None)])
         return ([[row[j] for j in at] for row in map(self._vertices.__getitem__, at)],
                 list(map(self._exponents.__getitem__, at)))
 
@@ -220,9 +216,8 @@ class Lattice:
         try:
             return self._exponents[self._at[d.factors]]
         except KeyError:
-            raise MissingVertexError(
-                f"direction {d.label} is not cached; "
-                "rebuild the lattice with it") from None
+            raise MissingVertexError(f"direction {d.label} is not cached; "
+                                     "rebuild the lattice with it") from None
 
     def vertex(self, a: Direction, b: Direction) -> float:
         """V(a, b), rounded once; symmetric."""
@@ -235,9 +230,9 @@ class Lattice:
             ", ".join(d.label for d in self.directions))
 
 
-#: Bits per limb.  Every limb is below 2^21 in magnitude (a column's below
-#: 2^20), so a product of two is below 2^42, and a float64 sum of
-#: ``_BLOCK_ROWS`` = 2^11 of them an integer below 2^53: exact.
+#: Bits per limb.  Every limb is below 2^21 in magnitude, so a product of
+#: two is below 2^42 and a float64 sum of ``_BLOCK_ROWS`` = 2^11 of them an
+#: integer below 2^53: exact.
 _LIMB_BITS = 20
 
 #: Rows summed by one matrix product; a block's temporaries stay small.
@@ -300,11 +295,9 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
 
 
 def _run(index: list[int]) -> list[int] | slice:
-    """``index`` as a slice if it is a contiguous, in-order run, so that
-    indexing with it makes a view, not a copy."""
-    first = min(index, default=0)
-    whole = slice(first, first + len(index))
-    return whole if index == list(range(whole.start, whole.stop)) else index
+    """``index`` as a slice, which indexes a view, if it is a contiguous run."""
+    run = range(index[0], index[0] + len(index)) if index else range(0)
+    return slice(run.start, run.stop) if index == list(run) else index
 
 
 def _fold(directions: Sequence[Direction], blocks) -> Lattice:
@@ -359,11 +352,10 @@ def _block_vertices(values: np.ndarray, factors):
     rows[0] = 1.0
 
     # Limb k of v 2^-e is trunc(v 2^-(e + 20k)) - 2^20 trunc(v 2^-(e + 20(k + 1))),
-    # the top one the first term alone, since |v| < 2^(e + 20 limbs); every
-    # limb has the sign of v.  ldexp scales in one exact step, but for a
-    # level below 1, which it may round and trunc takes to 0.  A level that
-    # overflows, or 2^20 times which does, lies above its value's top bit:
-    # it and its limb are 0.
+    # the top one the first term alone, since |v| < 2^(e + 20 limbs).  ldexp
+    # scales in one exact step, but may round a level below 1, which trunc
+    # takes to 0.  A level that overflows, or 2^20 times which does, lies
+    # above its value's top bit: it and its limb are 0.
     digits = rows[1:1 + limbs * m].reshape(limbs, m, n)
     shifts = [-(e + _LIMB_BITS * k) for k in range(limbs) for e in exps]
     with (np.errstate(over="ignore", invalid="ignore") if bits > 1023
@@ -387,24 +379,20 @@ def _block_vertices(values: np.ndarray, factors):
 
 @functools.lru_cache(maxsize=256)
 def _plan(keys):
-    """For distinct directions' factor tuples ``keys``: the columns they
-    read, in first-use order, and each direction's factors as positions
-    in that list."""
-    names = tuple(dict.fromkeys(f for key in keys for f in key))
+    """The columns that factor tuples ``keys`` read, and each as positions."""
+    names = tuple(dict.fromkeys(itertools.chain(*keys)))
     return names, tuple(tuple(map(names.index, key)) for key in keys)
 
 
 @functools.lru_cache(maxsize=256)
 def _layout(factors, m, limbs):
-    """The rows of a block's limbs: row 0 holds unity and row 1 + km + c
-    limb k of column c, and each product's limbs follow in a run;
-    ``at`` gives each direction's rows, least significant first.  Also
-    which Gram entries make each pair's vertex: the sum over limbs p, q
-    of entry (p, q) 2^(20(p + q)).  ``terms`` lists flat entries by
-    pair, then by p + q; those of one p + q start at ``bounds`` and sum
-    exactly in int64 (a few hundred, each below 2^53); ``steps`` holds
-    each sum's shift 20(p + q), and ``ends`` bounds each pair's run of
-    sums."""
+    """Each direction's rows in a block, ``at``, least significant limb
+    first (row 0 unity, row 1 + km + c limb k of column c, then each
+    product's limbs in a run), and which Gram entries make each pair's
+    vertex: the sum over limbs p, q of entry (p, q) 2^(20(p + q)).
+    ``terms`` lists flat entries by pair, then by p + q; those of one
+    p + q start at ``bounds``, sum exactly in int64 (a few hundred, each
+    below 2^53) and shift by ``steps``; ``ends`` bounds each pair's run."""
     size, at = 1 + limbs * m, []
     for f in factors:
         if len(f) > 1:
@@ -427,12 +415,12 @@ def _layout(factors, m, limbs):
 
 
 def _limb_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Limbs of the product of two int64 limb arrays (a row per limb,
-    least significant first), each limb below 2^21 in magnitude and each
-    value below 2^(20 rows).  The limb products sum below 2^49 (at most
-    105 limbs); two rounds of carrying every limb's bits past the 20th
-    into the next, by an arithmetic shift, leave each limb below 2^20 +
-    2^10 in magnitude, the top one as the product is below 2^(20 rows)."""
+    """Limbs of the product of two int64 limb arrays (a row per limb, least
+    significant first; limbs below 2^21 in magnitude, values below 2^(20
+    rows)).  Limb products sum below 2^49 (at most 105 limbs).  Two rounds
+    of carrying each limb's bits past the 20th into the next, by arithmetic
+    shifts, leave every limb below 2^20 + 2^10, as the product is below
+    2^(20 rows)."""
     out = np.zeros((len(a) + len(b), a.shape[1]), np.int64)
     for i, row in enumerate(a):
         out[i:i + len(b)] += b * row
@@ -624,11 +612,12 @@ def measure_catalog(source: Dataset | Lattice,
     (:class:`MissingVertexError` otherwise).  Keys follow the subscript
     naming of the determinant family: ``v_1x`` for vertices, ``delta_``
     plus a kind's subscript labels (``delta_11xx``), and ``sigma_11xx``
-    for the delta / n^2 of the 2x2 kinds; each entry is exact, rounded
-    once, and each delta a :func:`minor` of one read of the lattice's
-    matrix G over (1, columns...): ``delta_xxyyzz`` is its cofactor
-    C[0][0].  Keys concatenate column names, so ``ValueError`` is raised
-    when two entries would share one, as for a column named 1.
+    for the delta / n^2 of the 2x2 kinds.  Each entry is exact, rounded
+    once, from one read of the lattice's matrix G over (1, columns...):
+    a vertex is an entry of G, a delta a :func:`minor` (``delta_xxyyzz``
+    is the cofactor C[0][0]).  Keys concatenate column names, so
+    ``ValueError`` is raised when two entries would share one, as for a
+    column named 1.
     """
     if len(columns) not in (2, 3):
         raise ValueError("measure catalog requires 2 or 3 columns")
@@ -637,41 +626,36 @@ def measure_catalog(source: Dataset | Lattice,
     axes = [UNITY, *map(Direction, columns)]
     m, exps = lattice_over(source, axes).matrix(axes)
     labels = tuple(d.label for d in axes)
-    cells, kinds = _catalog(labels)
-    entries = [("v_" + key, rounded(m[i][j], exps[i] + exps[j], "vertex V({}, {})",
-                                    labels[i], labels[j])) for key, i, j in cells]
+    keys, cells, kinds = _catalog(labels)
+    values = [rounded(m[i][j], exps[i] + exps[j], "vertex V({}, {})", labels[i],
+                      labels[j]) for i, j in cells]
     dets = [(key, minor(m, rows, cols), sum(map(exps.__getitem__, rows + cols)),
              len(rows)) for key, rows, cols in kinds]
-    entries += [("delta_" + key, rounded(det, exp, "determinant delta_{}", key))
-                for key, det, exp, _ in dets]
+    values += [rounded(det, exp, "determinant delta_{}", key)
+               for key, det, exp, _ in dets]
     n = m[0][0]
-    entries += [("sigma_" + key, rounded(det, exp, "sigma_{}", key, den=n * n))
-                for key, det, exp, size in dets if size == 2]
-    out = dict(entries)
-    if len(out) < len(entries):
-        keys = [key for key, _ in entries]
-        key = next(k for i, k in enumerate(keys) if k in keys[:i])
-        raise ValueError(f"measure catalog key {key!r} names two "
-                         "entries; rename a column")
-    return out
+    values += [rounded(det, exp, "sigma_{}", key, den=n * n)
+               for key, det, exp, size in dets if size == 2]
+    return dict(zip(keys, values))
 
 
 @functools.lru_cache(maxsize=256)
 def _catalog(labels):
-    """The catalog over axes labelled ``labels``, unity first: each
-    vertex's key and position (i, j) in G, and each determinant's key
-    and subscripts as rows and columns of G, in DeterminantKind's terms:
-    variance, covariance, internal covariance both ways, base variance,
-    form1."""
+    """The catalog's keys over axes ``labels`` (unity first), each vertex's
+    place (i, j) in G, and each determinant's key, rows and columns in G:
+    variance, covariance, internal covariance, base variance, form1."""
     cols = range(1, len(labels))
     pairs = list(itertools.combinations(cols, 2))
-    kinds = [(0, 0, a, a) for a in cols]
-    kinds += [(0, 0, a, b) for a, b in pairs]
-    for a, b in pairs:
-        kinds += [(0, b, a, a), (0, a, b, b)]
-    kinds += [(a, a, b, b) for a, b in pairs]
-    if len(labels) == 4:
-        kinds.append((1, 1, 2, 2, 3, 3))
-    return ([(labels[i] + labels[j], i, j) for i, j in
-             itertools.combinations_with_replacement(range(len(labels)), 2)],
-            [("".join(map(labels.__getitem__, s)), s[0::2], s[1::2]) for s in kinds])
+    kinds = [(0, 0, a, a) for a in cols] + [(0, 0, a, b) for a, b in pairs]
+    kinds += [kind for a, b in pairs for kind in ((0, b, a, a), (0, a, b, b))]
+    kinds += [(a, a, b, b) for a, b in pairs] + [(1, 1, 2, 2, 3, 3)] * (len(cols) == 3)
+    cells = list(itertools.combinations_with_replacement(range(len(labels)), 2))
+    kinds = [("".join(map(labels.__getitem__, s)), s[0::2], s[1::2]) for s in kinds]
+    keys = ([f"v_{labels[i]}{labels[j]}" for i, j in cells]
+            + [f"delta_{key}" for key, _, _ in kinds]
+            + [f"sigma_{key}" for key, rows, _ in kinds if len(rows) == 2])
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"measure catalog key {key!r} names two "
+                             "entries; rename a column")
+    return keys, cells, kinds

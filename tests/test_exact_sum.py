@@ -149,6 +149,62 @@ class TestKernelBits:
             assert_exact_sum(values)
             assert_exact_sum(-values)
 
+    def test_one_block_spanning_the_float_range(self):
+        # One block whose column spans 2^-1074 to 2^1023: its limb levels
+        # are scaled by powers of two from 2^1074 down, past both ends of
+        # the exponent range, in one step, and x*y, x*x spread them
+        # further.
+        x = [5e-324, 2.0 ** 1023, -3.0, 0.0]
+        y = [1.5, -0.25, 7.0, 2.0]
+        lat = build_lattice(Dataset({"x": x, "y": y}), [UNITY, X, Y, X * Y, X * X])
+        exact = ExactData({"x": x, "y": y})
+        for a in lat.directions:
+            for b in lat.directions:
+                value = exact.vertex(a.factors, b.factors)
+                assert (Fraction(lat.exact(a, b))
+                        * Fraction(2) ** (lat.exponent(a) + lat.exponent(b))
+                        == value)
+                assert_value(lambda: lat.vertex(a, b), value,
+                             f"vertex V({a.label}, {b.label})")
+
+    def test_adjacent_columns_are_read_in_place(self):
+        # The columns x and y are adjacent rows of the dataset's table, so
+        # every block the kernel sums is a view of it, not a copy.
+        rng = np.random.default_rng(5)
+        data = Dataset({name: rng.normal(size=2 * lattice._BLOCK_ROWS + 5)
+                        for name in "wxyz"})
+        with mock.patch.object(lattice, "_block_vertices",
+                               wraps=lattice._block_vertices) as spy:
+            build_lattice(data, [UNITY, X, Y, X * Y])
+        blocks = [call.args[0] for call in spy.call_args_list]
+        assert [block.shape[1] for block in blocks] == [
+            lattice._BLOCK_ROWS, lattice._BLOCK_ROWS, 5]
+        assert all(np.shares_memory(block, data._table) for block in blocks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2 ** 120 + 1, 2 ** 120 - 1), min_size=3,
+                    max_size=3),
+           st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+    def test_limb_products_are_exact(self, values, la, lb, lc):
+        # Limbs of the products of up to three values, carried in two
+        # rounds, hold each product exactly, every limb within 2^20 + 2^10.
+        def split(value, count):
+            # Limbs as the kernel makes them: of the value's low 20 count
+            # bits, each below 2^20 in magnitude, with the value's sign.
+            sign, rest = -1 if value < 0 else 1, abs(value) % (1 << 20 * count)
+            return [sign * (rest >> 20 * k & (1 << 20) - 1) for k in range(count)]
+
+        def worth(limbs):
+            return sum(int(v) << 20 * k for k, v in enumerate(limbs))
+
+        a, b, c = (np.array([split(v, count)]).T
+                   for v, count in zip(values, (la, lb, lc)))
+        ab = lattice._limb_product(a, b)
+        abc = lattice._limb_product(ab, c)
+        assert worth(ab[:, 0]) == worth(a[:, 0]) * worth(b[:, 0])
+        assert worth(abc[:, 0]) == worth(ab[:, 0]) * worth(c[:, 0])
+        assert max(abs(ab).max(), abs(abc).max()) < 2 ** 20 + 2 ** 10
+
 
 class TestFsumDecides:
     """Inputs on which math.fsum raises or returns inf or nan: a Dataset

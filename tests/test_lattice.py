@@ -116,6 +116,25 @@ class TestVertices:
         with pytest.raises(ValueError):
             build_lattice(d1, [])
 
+    def test_missing_direction_exponent(self):
+        lat = build_lattice(Dataset({"x": [1.0, 2.0]}), [UNITY, X])
+        with pytest.raises(MissingVertexError,
+                           match=r"^direction z is not cached"):
+            lat.exponent(Direction("z"))
+
+    @pytest.mark.parametrize("n", [1, 7, 2 * latreg.lattice._BLOCK_ROWS + 3])
+    def test_unity_only_lattice(self, n):
+        # No column is read; each block is still n rows of unity.
+        table = np.arange(2.0 * n).reshape(n, 2)
+        data = Dataset({"x": table[:, 0], "y": table[:, 1]})
+        chunks = iter(np.array_split(table, 3))
+        for lat in (build_lattice(data, [UNITY]),
+                    latreg.lattice.lattice_of_rows(chunks, ["x", "y"], [UNITY])):
+            assert lat.directions == (UNITY,)
+            assert lat.exact(UNITY, UNITY) == n
+            assert lat.exponent(UNITY) == 0
+            assert lat.vertex(UNITY, UNITY) == float(n)
+
     def test_duplicates_dropped(self, d1):
         lat = build_lattice(d1, [UNITY, X, X, Y])
         assert lat.directions == (UNITY, X, Y)
