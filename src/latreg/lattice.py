@@ -25,9 +25,11 @@ Every vertex is exact: a Python integer times 2^(e_a + e_b), summed by
 :func:`build_lattice` from 20-bit limbs of the data held as float64, in
 matrix products whose partial sums are all integers below 2^53 (the
 error-free splitting of Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
-59, 2012).  Determinants, means and fits built from the vertices are
-exact and rounded once, when read; only that rounding can leave the
-float range, and then a :class:`NonFiniteResultError` names the value.
+59, 2012).  A block's limbs take one exact ``np.ldexp`` scaling, a
+product's int64 limb products, and each direction set's layout is cached.
+Determinants, means and fits built from the vertices are exact and
+rounded once, when read; only that rounding can leave the float range,
+and then a :class:`NonFiniteResultError` names the value.
 """
 
 from __future__ import annotations
@@ -244,18 +246,17 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
 
     ``directions`` must be non-empty and include unity (else
     ``ValueError``); duplicates are dropped.  Each column is read once,
-    in blocks of ``_BLOCK_ROWS`` rows, where each value of column c is an
-    integer multiple of 2^e_c, e_c the ulp of the block's smallest
-    nonzero magnitude.  Those integers are split into limbs, a product
+    in blocks of ``_BLOCK_ROWS`` rows (views of the table when the
+    columns read are a contiguous run of it), where each value of column
+    c is an integer multiple of 2^e_c, e_c the ulp of the block's
+    smallest nonzero magnitude.  Those integers are split into limbs, a product
     direction's limbs are multiplied out from its factors', and one
     matrix product sums every pair of limbs over the block.  The block's
     vertices go into Python integers at the lowest exponent any block
     needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
     def blocks(names):
-        for name in names:
-            data.column(name)  # a missing one raises ColumnNotFoundError
-        rows = _run(list(map(data.names.index, names)))
+        rows = _rows(names, data.names)
         for start in range(0, data.n, _BLOCK_ROWS):
             yield data._table[rows, start:start + _BLOCK_ROWS]
 
@@ -269,13 +270,8 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
     blocks of ``_BLOCK_ROWS`` rows, so the exact vertices and the number
     of blocks are those of the same rows in one :class:`Dataset`; no
     chunk is kept past its turn."""
-    positions = {name: i for i, name in enumerate(names)}
-
     def blocks(used):
-        for name in used:
-            if name not in positions:
-                raise ColumnNotFoundError(name)
-        columns = _run([positions[name] for name in used])
+        columns = _rows(used, names)
         # One buffer serves every full block; each is summed before the next.
         size, filled = _BLOCK_ROWS, 0
         block = np.empty((len(used), size))
@@ -294,8 +290,13 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
     return _fold(directions, blocks)
 
 
-def _run(index: list[int]) -> list[int] | slice:
-    """``index`` as a slice, which indexes a view, if it is a contiguous run."""
+def _rows(used: Sequence[str], names: Sequence[str]) -> list[int] | slice:
+    """Where the columns ``used`` are in ``names``: a slice, which indexes a
+    view, if a contiguous run in order.  Raises :class:`ColumnNotFoundError`."""
+    for name in used:
+        if name not in names:
+            raise ColumnNotFoundError(name)
+    index = list(map(names.index, used))
     run = range(index[0], index[0] + len(index)) if index else range(0)
     return slice(run.start, run.stop) if index == list(run) else index
 
@@ -337,14 +338,12 @@ def _block_vertices(values: np.ndarray, factors):
     magnitude = np.abs(values)
     lows = magnitude.min(axis=1).tolist()
     if 0.0 in lows:
-        lows = magnitude.min(axis=1, initial=math.inf,
-                             where=magnitude > 0).tolist()
-    exps, bits = [], 0
-    for top, low in zip(magnitude.max(axis=1).tolist(), lows):
-        # A normal |v| < 2^k is a multiple of 2^(k - 53), a subnormal of 2^-1074.
-        e = max(math.frexp(low)[1] - 53, -1074) if top else 0
-        exps.append(e)
-        bits = max(bits, math.frexp(top)[1] - e)
+        lows = magnitude.min(axis=1, initial=math.inf, where=magnitude > 0).tolist()
+    tops = magnitude.max(axis=1).tolist()
+    # A normal |v| < 2^k is a multiple of 2^(k - 53), a subnormal of 2^-1074.
+    exps = [max(math.frexp(low)[1] - 53, -1074) if top else 0
+            for top, low in zip(tops, lows)]
+    bits = max((math.frexp(top)[1] - e for top, e in zip(tops, exps)), default=0)
     limbs = max(1, -(-bits // _LIMB_BITS))
     m, n = values.shape
     size, at, pairs, terms, bounds, steps, ends = _layout(factors, m, limbs)
@@ -416,11 +415,10 @@ def _layout(factors, m, limbs):
 
 def _limb_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Limbs of the product of two int64 limb arrays (a row per limb, least
-    significant first; limbs below 2^21 in magnitude, values below 2^(20
-    rows)).  Limb products sum below 2^49 (at most 105 limbs).  Two rounds
-    of carrying each limb's bits past the 20th into the next, by arithmetic
-    shifts, leave every limb below 2^20 + 2^10, as the product is below
-    2^(20 rows)."""
+    significant first), limbs below 2^21 in magnitude and values below
+    2^(20 rows).  Limb products sum below 2^49 (at most 105 limbs); two
+    rounds of carrying every limb's bits past the 20th into the next leave
+    each limb below 2^20 + 2^10, as the product is below 2^(20 rows)."""
     out = np.zeros((len(a) + len(b), a.shape[1]), np.int64)
     for i, row in enumerate(a):
         out[i:i + len(b)] += b * row
@@ -633,8 +631,7 @@ def measure_catalog(source: Dataset | Lattice,
              len(rows)) for key, rows, cols in kinds]
     values += [rounded(det, exp, "determinant delta_{}", key)
                for key, det, exp, _ in dets]
-    n = m[0][0]
-    values += [rounded(det, exp, "sigma_{}", key, den=n * n)
+    values += [rounded(det, exp, "sigma_{}", key, den=m[0][0] ** 2)
                for key, det, exp, size in dets if size == 2]
     return dict(zip(keys, values))
 
