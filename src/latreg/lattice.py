@@ -249,11 +249,11 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     in blocks of ``_BLOCK_ROWS`` rows (views of the table when the
     columns read are a contiguous run of it), where each value of column
     c is an integer multiple of 2^e_c, e_c the ulp of the block's
-    smallest nonzero magnitude.  Those integers are split into limbs, a product
-    direction's limbs are multiplied out from its factors', and one
-    matrix product sums every pair of limbs over the block.  The block's
-    vertices go into Python integers at the lowest exponent any block
-    needed.  A missing column raises :class:`ColumnNotFoundError`.
+    smallest nonzero magnitude.  Those integers are split into limbs, a
+    product direction's limbs are multiplied out from its factors', and
+    one matrix product sums every pair of limbs over the block.  The
+    block's vertices go into Python integers at the lowest exponent any
+    block needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
     def blocks(names):
         rows = _rows(names, data.names)
