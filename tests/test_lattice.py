@@ -124,7 +124,7 @@ class TestVertices:
 
     @pytest.mark.parametrize("n", [1, 7, 2 * latreg.lattice._BLOCK_ROWS + 3])
     def test_unity_only_lattice(self, n):
-        # No column is read; each block is still n rows of unity.
+        # No column is read, yet the blocks still hold n rows of unity.
         table = np.arange(2.0 * n).reshape(n, 2)
         data = Dataset({"x": table[:, 0], "y": table[:, 1]})
         chunks = iter(np.array_split(table, 3))
