@@ -247,7 +247,7 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     ``directions`` must be non-empty and include unity (else
     ``ValueError``); duplicates are dropped.  Each column is read once,
     in blocks of ``_BLOCK_ROWS`` rows (views of the table when the
-    columns read are a contiguous run of it), where each value of column
+    columns read are evenly spaced in it), where each value of column
     c is an integer multiple of 2^e_c, e_c the ulp of the block's
     smallest nonzero magnitude.  Those integers are split into limbs, a
     product direction's limbs are multiplied out from its factors', and
@@ -255,12 +255,11 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     block's vertices go into Python integers at the lowest exponent any
     block needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
-    def blocks(names):
-        rows = _rows(names, data.names)
+    def blocks(rows, _):
         for start in range(0, data.n, _BLOCK_ROWS):
             yield data._table[rows, start:start + _BLOCK_ROWS]
 
-    return _fold(directions, blocks)
+    return _fold(directions, data.names, blocks)
 
 
 def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
@@ -269,12 +268,11 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
     of the columns ``names``, in row order.  The chunks are re-cut into
     blocks of ``_BLOCK_ROWS`` rows, so the exact vertices and the number
     of blocks are those of the same rows in one :class:`Dataset`; no
-    chunk is kept past its turn."""
-    def blocks(used):
-        columns = _rows(used, names)
+    chunk is kept past its turn.  No rows raise :class:`EmptyDataError`."""
+    def blocks(columns, width):
         # One buffer serves every full block; each is summed before the next.
         size, filled = _BLOCK_ROWS, 0
-        block = np.empty((len(used), size))
+        block = np.empty((width, size))
         for chunk in chunks:
             start = 0
             while start < len(chunk):
@@ -287,54 +285,75 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
         if filled:
             yield block[:, :filled]
 
-    return _fold(directions, blocks)
+    return _fold(directions, names, blocks)
 
 
-def _rows(used: Sequence[str], names: Sequence[str]) -> list[int] | slice:
-    """Where the columns ``used`` are in ``names``: a slice, which indexes a
-    view, if a contiguous run in order.  Raises :class:`ColumnNotFoundError`."""
-    for name in used:
-        if name not in names:
-            raise ColumnNotFoundError(name)
-    index = list(map(names.index, used))
-    run = range(index[0], index[0] + len(index)) if index else range(0)
-    return slice(run.start, run.stop) if index == list(run) else index
-
-
-def _fold(directions: Sequence[Direction], blocks) -> Lattice:
-    """The exact lattice over ``directions`` from ``blocks(names)``: the
-    column blocks, a row per name of ``names`` (the columns the
-    directions read, in first-use order) and at most ``_BLOCK_ROWS``
-    columns each, that together hold every data row once."""
+def _fold(directions: Sequence[Direction], source: Sequence[str],
+          blocks) -> Lattice:
+    """The exact lattice over ``directions`` from ``blocks(rows, width)``:
+    the column blocks of a source whose columns are named ``source``,
+    each the ``width`` rows ``rows`` of it (the columns the directions
+    read, in the source's order) and at most ``_BLOCK_ROWS`` columns,
+    that together hold every data row once.  No block raises
+    :class:`EmptyDataError`."""
     keyed = {d.factors: d for d in directions}
     if not keyed:
         raise ValueError("directions must be non-empty")
     if () not in keyed:
         raise ValueError("directions must include unity")
 
-    names, factors = _plan(tuple(keyed))
-    totals = low = None  # low: each direction's exponent in totals
-    for block in blocks(names):
-        sums, exps, pairs = _block_vertices(block, factors)
-        if totals is None:
-            totals, low = sums, exps
-            continue
-        new = list(map(min, low, exps))
-        totals = [(t << low[i] - new[i] + low[j] - new[j])
-                  + (v << exps[i] - new[i] + exps[j] - new[j])
-                  for t, v, (i, j) in zip(totals, sums, pairs)]
-        low = new
-    vertices = [[0] * len(keyed) for _ in keyed]
-    for t, (i, j) in zip(totals, pairs):
-        vertices[i][j] = vertices[j][i] = t
-    return Lattice(keyed.values(), vertices, low)
+    rows, width, factors = _plan(tuple(keyed), tuple(source))
+    pairs = _pairs(len(keyed))
+    total = None
+    for block in blocks(rows, width):
+        part = _block_vertices(block, factors)
+        total = part if total is None else _add(total, part, pairs)
+    if total is None:
+        raise EmptyDataError("dataset has no rows")
+    return _of_pairs(keyed.values(), total, pairs)
+
+
+def _add(total, part, pairs):
+    """The exact sum of two partial lattices, each ``(sums, exps)``: per
+    pair (i, j) of directions the integer V(i, j) / 2^(e_i + e_j), and
+    per direction its exponent e_d.  The sum is at each direction's lower
+    exponent, so it is the shift and add of two integers per pair."""
+    (totals, low), (sums, exps) = total, part
+    new = list(map(min, low, exps))
+    return ([(t << low[i] - new[i] + low[j] - new[j])
+             + (v << exps[i] - new[i] + exps[j] - new[j])
+             for t, v, (i, j) in zip(totals, sums, pairs)], new)
+
+
+def _sum(lattices: Sequence[Lattice]) -> Lattice:
+    """The lattice of the rows of all ``lattices``, each over the same
+    directions in the same order, exactly: vertices are sums over rows."""
+    first, *rest = lattices
+    pairs = _pairs(len(first.directions))
+
+    def part(lat):
+        return [lat._vertices[i][j] for i, j in pairs], lat._exponents
+
+    total = part(first)
+    for lat in rest:
+        total = _add(total, part(lat), pairs)
+    return _of_pairs(first.directions, total, pairs)
+
+
+def _of_pairs(directions, total, pairs) -> Lattice:
+    """The lattice whose ``(sums, exps)`` are ``total``, a sum per pair."""
+    sums, exps = total
+    vertices = [[0] * len(exps) for _ in exps]
+    for v, (i, j) in zip(sums, pairs):
+        vertices[i][j] = vertices[j][i] = v
+    return Lattice(directions, vertices, exps)
 
 
 def _block_vertices(values: np.ndarray, factors):
     """For one block of column values (a row per column) and each
-    direction's factors as row numbers: per pair (i, j), i <= j, of
-    directions the integer V(i, j) / 2^(e_i + e_j), per direction e_d
-    (the sum of its factors'), and the pairs."""
+    direction's factors as row numbers: per pair (i, j) of directions in
+    :func:`_pairs` order the integer V(i, j) / 2^(e_i + e_j), and per
+    direction e_d (the sum of its factors')."""
     magnitude = np.abs(values)
     lows = magnitude.min(axis=1).tolist()
     if 0.0 in lows:
@@ -346,7 +365,7 @@ def _block_vertices(values: np.ndarray, factors):
     bits = max((math.frexp(top)[1] - e for top, e in zip(tops, exps)), default=0)
     limbs = max(1, -(-bits // _LIMB_BITS))
     m, n = values.shape
-    size, at, pairs, terms, bounds, steps, ends = _layout(factors, m, limbs)
+    size, at, terms, bounds, steps, ends = _layout(factors, m, limbs)
     rows = np.empty((size, n))
     rows[0] = 1.0
 
@@ -373,14 +392,33 @@ def _block_vertices(values: np.ndarray, factors):
     diagonals = np.add.reduceat(gram[terms], bounds).tolist()
     running = [0, *itertools.accumulate(map(operator.lshift, diagonals, steps))]
     return ([running[b] - running[a] for a, b in zip(ends, ends[1:])],
-            [sum(map(exps.__getitem__, f)) for f in factors], pairs)
+            [sum(map(exps.__getitem__, f)) for f in factors])
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(keys):
-    """The columns that factor tuples ``keys`` read, and each as positions."""
-    names = tuple(dict.fromkeys(itertools.chain(*keys)))
-    return names, tuple(tuple(map(names.index, key)) for key in keys)
+def _plan(keys, source):
+    """Which columns of a source with columns ``source`` the factor tuples
+    ``keys`` read: their rows there (a slice, which indexes a view, when
+    they are evenly spaced), their number, and each key as positions
+    among them.  The columns keep the source's order, so that any one or
+    two of them make a slice.  Raises :class:`ColumnNotFoundError` for the
+    first column, in order of use, that ``source`` lacks."""
+    used = dict.fromkeys(itertools.chain(*keys))
+    for name in used:
+        if name not in source:
+            raise ColumnNotFoundError(name)
+    index = sorted(map(source.index, used))
+    names = [source[i] for i in index]
+    step = index[1] - index[0] if len(index) > 1 else 1
+    run = range(index[0], index[-1] + 1, step) if index else range(0)
+    rows = slice(run.start, run.stop, run.step) if index == list(run) else index
+    return rows, len(index), tuple(tuple(map(names.index, key)) for key in keys)
+
+
+@functools.lru_cache(maxsize=256)
+def _pairs(k):
+    """The pairs (i, j), i <= j, of k directions, in vertex order."""
+    return tuple(itertools.combinations_with_replacement(range(k), 2))
 
 
 @functools.lru_cache(maxsize=256)
@@ -399,9 +437,8 @@ def _layout(factors, m, limbs):
             size += limbs * len(f)
         else:
             at.append(range(1 + f[0], 1 + limbs * m, m) if f else range(1))
-    pairs = tuple(itertools.combinations_with_replacement(range(len(factors)), 2))
     terms, bounds, steps, ends = [], [], [], [0]
-    for i, j in pairs:
+    for i, j in _pairs(len(factors)):
         a, b = at[i], at[j]
         for k in range(len(a) + len(b) - 1):
             bounds.append(len(terms))
@@ -409,7 +446,7 @@ def _layout(factors, m, limbs):
             terms += [a[p] * size + b[k - p]
                       for p in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)]
         ends.append(len(bounds))
-    return (size, tuple(at), pairs, np.array(terms), np.array(bounds),
+    return (size, tuple(at), np.array(terms), np.array(bounds),
             tuple(steps), tuple(ends))
 
 

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latreg.lattice as lattice
-from latreg import (Dataset, MeanRequest, ModelSpec, NonFiniteResultError,
-                    SingularSystemError, UNITY, build_lattice,
-                    fit_all_rotations, mean_operator, measure_catalog, solve)
+from latreg import (Dataset, Direction, EmptyDataError, MeanRequest, ModelSpec,
+                    NonFiniteResultError, SingularSystemError, UNITY,
+                    build_lattice, fit, fit_all_rotations, mean_operator,
+                    measure_catalog, parse_model, solve, weighted_mean)
 from latreg.cli import main
 
 from conftest import X, Y, Z
@@ -168,18 +169,39 @@ class TestKernelBits:
                              f"vertex V({a.label}, {b.label})")
 
     def test_adjacent_columns_are_read_in_place(self):
-        # The columns x and y are adjacent rows of the dataset's table, so
-        # every block the kernel sums is a view of it, not a copy.
+        # The columns each request reads are evenly spaced rows of the
+        # dataset's table, whatever order the request names them in (y
+        # before x in the fit, the weight w before x in the mean), so every
+        # block the kernel sums is a view of it, not a copy.  A dataset
+        # whose columns are copies gives the same exact result.
+        def matrix(lat):
+            return lat.matrix(lat.directions)
+
+        requests = [
+            lambda data: matrix(build_lattice(data, [UNITY, X, Y, X * Y])),
+            lambda data: fit(data, parse_model("x = 1 + y")),
+            lambda data: weighted_mean(data, "x", "w"),
+            lambda data: matrix(build_lattice(data, [UNITY, Direction("w"), Y])),
+        ]
         rng = np.random.default_rng(5)
         data = Dataset({name: rng.normal(size=2 * lattice._BLOCK_ROWS + 5)
                         for name in "wxyz"})
-        with mock.patch.object(lattice, "_block_vertices",
-                               wraps=lattice._block_vertices) as spy:
-            build_lattice(data, [UNITY, X, Y, X * Y])
-        blocks = [call.args[0] for call in spy.call_args_list]
-        assert [block.shape[1] for block in blocks] == [
-            lattice._BLOCK_ROWS, lattice._BLOCK_ROWS, 5]
-        assert all(np.shares_memory(block, data._table) for block in blocks)
+        copied = Dataset({name: data.column(name).copy() for name in "zyxw"})
+        for request in requests:
+            with mock.patch.object(lattice, "_block_vertices",
+                                   wraps=lattice._block_vertices) as spy:
+                result = request(data)
+            blocks = [call.args[0] for call in spy.call_args_list]
+            assert [block.shape[1] for block in blocks] == [
+                lattice._BLOCK_ROWS, lattice._BLOCK_ROWS, 5]
+            assert all(np.shares_memory(block, data._table) for block in blocks)
+            assert request(copied) == result
+
+    def test_no_rows_is_empty_data(self):
+        with pytest.raises(EmptyDataError, match="^dataset has no rows$"):
+            lattice.lattice_of_rows(iter([np.empty((0, 1))]), ["x"], [UNITY])
+        with pytest.raises(EmptyDataError, match="^dataset has no rows$"):
+            lattice.lattice_of_rows(iter([]), ["x", "y"], [UNITY, Y])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-2 ** 120 + 1, 2 ** 120 - 1), min_size=3,

@@ -105,12 +105,13 @@ class TestFold:
 
         cuts = split_points(data.draw, n, lattice._BLOCK_ROWS)
 
-        def blocks(names):
-            return (np.array([columns[name][start:end] for name in names]
-                             ).reshape(len(names), end - start)
+        source = np.array([columns[name] for name in "xyz"])
+
+        def blocks(rows, width):
+            return (source[rows, start:end].reshape(width, end - start)
                     for start, end in zip(cuts, cuts[1:]))
 
-        folded = lattice._fold(directions, blocks)
+        folded = lattice._fold(directions, "xyz", blocks)
         assert exact_vertices(folded) == expected
         assert rounded_vertices(folded) == rounded_vertices(whole)
 
