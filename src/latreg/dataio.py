@@ -38,6 +38,29 @@ The per-cell reader also yields blocks of at most :data:`_CELL_ROWS`
 rows, so a quoted file streams in flat memory too.  Both readers accept
 the same input and give the same values bit for bit.
 
+:func:`read_lattice` reads a large file on every usable CPU.  A vertex
+is a sum over rows of exact integers, so the lattice of a file is the
+exact sum of the lattices of its parts.  The file is cut just after a
+``\n`` into byte ranges, one per CPU that ``os.sched_getaffinity``
+allows and each at least :data:`_RANGE_CHUNKS` chunks long.  The parent
+forks a worker for each range but the first; a worker folds its range
+through the readers above, writes its partial lattice to a pipe and
+leaves with ``os._exit``.  The parent reads the header and folds the
+first range meanwhile, then adds the partial lattices by the shift and
+add with which the lattice sums its blocks.  The file is read serially
+instead where it is stdin or another stream, holds a ``"`` anywhere (a
+quoted field may span a cut; the scan for it reads
+:data:`_SCAN_BYTES` at a time, so that file pages do not swell RSS), is
+too small for two ranges, where only one CPU is usable, or where the
+process runs other threads.  If any range fails, even the first, all
+workers are killed and reaped and the file is read again serially,
+which gives exactly the serial message and row: the serial reader
+decodes ahead of its parse, so a byte past a cut that cannot be decoded
+comes before a bad cell just ahead of it.  Every worker is reaped on
+every path.  Python 3.12 and later warn, in the parent, when a process
+with threads (here OpenBLAS's pool) forks; that warning is silenced for
+the fork alone, as explained at :func:`_fork`.
+
 Every report is one payload in the :data:`REPORT_SCHEMA` layout, which
 :func:`render` serializes to JSON (stable key order, shortest round-trip
 decimals, so ``parse(write(r))`` reproduces every numeric bit-exactly)
@@ -50,6 +73,12 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
+import signal
+import stat
+import threading
+import warnings
 from contextlib import ExitStack, contextmanager
 from itertools import chain
 from pathlib import Path
@@ -57,9 +86,9 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError, NonFiniteResultError
+from .errors import CsvFormatError, EmptyDataError, NonFiniteResultError
 from .estimators import RotationResult
-from .lattice import Dataset, Direction, Lattice, lattice_of_rows
+from .lattice import Dataset, Direction, Lattice, _sum, lattice_of_rows
 
 __all__ = [
     "read_csv",
@@ -141,7 +170,8 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
     """``build_lattice(read_csv(source, names), directions)`` in one
     streaming pass: each chunk of rows is folded into the exact vertices
     as it is parsed, and no row outlives its chunk, so memory stays flat
-    in the number of rows.
+    in the number of rows.  A large file is read as byte ranges, one per
+    usable CPU, whose exact lattices are added (see the module notes).
 
     ``source`` and ``names`` are as in :func:`read_csv`, which gives the
     same errors; the lattice is the same, exactly.  ``directions`` must
@@ -150,9 +180,158 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
     any input is read).
     """
     names = _selection(names)
+    if isinstance(source, (str, Path)):
+        lattice = _read_ranges(source, names, directions)
+        if lattice is not None:
+            return lattice
     with _text(source) as stream:
         return lattice_of_rows((block for block, _ in _blocks(stream, names)),
                                names, directions)
+
+
+def _read_ranges(path: str | Path, names: tuple[str, ...],
+                 directions: Sequence[Direction]) -> Lattice | None:
+    """The lattice of the file at ``path`` read as byte ranges, range 0
+    here and each other range by a forked worker, or None where the file
+    is to be read serially: where :func:`_cuts` gives no split, or where
+    any range fails, so that the serial read gives the error."""
+    with open(path, "rb") as file:
+        cuts = _cuts(file.fileno())
+        if cuts is None:
+            return None
+        workers: dict[int, int] = {}  # pid: read end of its pipe
+        try:
+            with io.BufferedReader(_Range(file.fileno(), 0, cuts[1])) as head, \
+                    _text(head) as stream:
+                fields = _header(stream, names)
+                for start, end in zip(cuts[1:], cuts[2:]):
+                    pid, pipe = _fork(_fold_range, file.fileno(), start, end,
+                                      fields, names, directions)
+                    workers[pid] = pipe
+                parts = [_partial(_data(stream, *fields, names), names, directions)]
+            for pid in list(workers):
+                with open(workers[pid], "rb", closefd=False) as pipe:
+                    payload = pipe.read()
+                os.close(workers.pop(pid))
+                if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                    return None
+                parts.append(pickle.loads(payload))  # from this module's worker
+        except (CsvFormatError, OSError):  # OSError: a fork the host refused
+            return None
+        finally:
+            for pid, pipe in workers.items():
+                os.close(pipe)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    parts = [part for part in parts if part is not None]
+    return _sum(parts) if parts else None  # no rows: the serial read says so
+
+
+#: Each byte range holds at least this many chunks, so a range's fixed
+#: cost (a fork, a pipe, a partial lattice) stays small beside its parse.
+_RANGE_CHUNKS = 4
+
+#: Bytes per read of the scan for quotes and cut points.  The scan holds
+#: no more of the file than this at once; an mmap of the file would count
+#: its pages in RSS.
+_SCAN_BYTES = 1 << 16
+
+
+def _cuts(fd: int) -> list[int] | None:
+    """Offsets that cut the regular file open at ``fd`` into byte ranges,
+    from 0 to its size, each cut just after a ``\n``; or None where the
+    file is read serially.  There is a range per usable CPU, at most one
+    per ``_RANGE_CHUNKS`` chunks.  A file holding a ``"`` is read
+    serially, since a quoted field may span a cut, and so is any file in
+    a process running other threads, which a fork would not copy."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return None
+    info = os.fstat(fd)
+    parts = min(len(os.sched_getaffinity(0)),
+                info.st_size // (_RANGE_CHUNKS * _CHUNK_CHARS))
+    if parts < 2 or not stat.S_ISREG(info.st_mode):
+        return None
+    cuts, offset = [0], 0
+    while block := os.pread(fd, _SCAN_BYTES, offset):
+        if b'"' in block:
+            return None
+        while len(cuts) < parts:
+            start = max(len(cuts) * info.st_size // parts, cuts[-1]) - offset
+            end = block.find(b"\n", max(start, 0)) if start < len(block) else -1
+            if end < 0:
+                break
+            cuts.append(offset + end + 1)
+        offset += len(block)
+    cuts = [cut for cut in cuts if cut < offset] + [offset]
+    return cuts if len(cuts) > 2 else None
+
+
+class _Range(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of the file open at ``fd``, read at their
+    offsets, so that readers of one file's ranges share no position."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = os.preadv(self._fd, [memoryview(buffer)[:self._end - self._at]],
+                         self._at)
+        self._at += size
+        return size
+
+
+def _fork(work, *args) -> tuple[int, int]:
+    """A forked worker that writes the bytes ``work(*args)`` gives to a
+    pipe and exits 0, or exits 1 on any error: its pid and the pipe's
+    read end."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # CPython 3.12+ warns here, in the parent, that a fork of a
+            # process with threads (OpenBLAS's pool) may deadlock the
+            # child; under -W error that would raise with the child alive.
+            # The child runs only this module's parse and the lattice
+            # fold, then os._exit, and OpenBLAS quiesces its pool at fork.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            payload = memoryview(work(*args))
+            while payload:
+                payload = payload[os.write(write, payload):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _fold_range(fd: int, start: int, end: int, fields: tuple[int, list[int]],
+                names: tuple[str, ...], directions: Sequence[Direction]) -> bytes:
+    """The pickled partial lattice of the data lines in bytes ``start`` to
+    ``end`` of the file open at ``fd``.  Plain UTF-8: a BOM is only one at
+    the start of the file, and elsewhere a cell that is not a decimal."""
+    with io.BufferedReader(_Range(fd, start, end)) as raw, \
+            _text(raw, "utf-8") as stream:
+        return pickle.dumps(_partial(_data(stream, *fields, names), names,
+                                     directions))
+
+
+def _partial(blocks: Iterator[tuple[np.ndarray, int]], names: tuple[str, ...],
+             directions: Sequence[Direction]) -> Lattice | None:
+    """The lattice of ``blocks``, or None for a range without rows."""
+    try:
+        return lattice_of_rows((block for block, _ in blocks), names, directions)
+    except EmptyDataError:
+        return None
 
 
 def _selection(names: Sequence[str]) -> tuple[str, ...]:
@@ -166,7 +345,8 @@ def _selection(names: Sequence[str]) -> tuple[str, ...]:
 
 
 @contextmanager
-def _text(source: str | Path | IO[str] | IO[bytes]) -> Iterator[IO[str]]:
+def _text(source: str | Path | IO[str] | IO[bytes],
+          encoding: str = "utf-8-sig") -> Iterator[IO[str]]:
     """``source`` as a text stream, open for the ``with`` block; a path is
     closed after it, a caller's stream is left open.  Text that cannot be
     decoded raises :class:`CsvFormatError`."""
@@ -175,7 +355,7 @@ def _text(source: str | Path | IO[str] | IO[bytes]) -> Iterator[IO[str]]:
             source = stack.enter_context(open(source, "rb"))
         if isinstance(source, io.BufferedIOBase):
             # utf-8-sig: tolerate a BOM without corrupting the first header name
-            source = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            source = io.TextIOWrapper(source, encoding=encoding, newline="")
             stack.callback(source.detach)  # leaves a caller's stream open
         try:
             yield source
@@ -191,6 +371,13 @@ def _blocks(stream: IO[str],
     """The named columns of the data rows after the header, as (r, k)
     float64 blocks in row order, each with the number of its first data
     row (from 1).  The header is read with :mod:`csv`."""
+    if not (yield from _data(stream, *_header(stream, names), names)):
+        raise CsvFormatError("data section is empty")
+
+
+def _header(stream: IO[str], names: tuple[str, ...]) -> tuple[int, list[int]]:
+    """The header's field count and each named column's place in it, read
+    from ``stream`` with :mod:`csv`."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -204,27 +391,31 @@ def _blocks(stream: IO[str],
                 f"header has no column named {name!r}" if name not in header
                 else f"header names column {name!r} more than once",
                 column=name)
-    usecols = [header.index(name) for name in names]
+    return len(header), [header.index(name) for name in names]
 
+
+def _data(stream: IO[str], n_fields: int, usecols: list[int],
+          names: tuple[str, ...]) -> Iterator[tuple[np.ndarray, int]]:
+    """The selected columns of the data lines that make up the rest of
+    ``stream``, as :func:`_blocks` gives them; returns the number of rows."""
     row = 1
     chunks = _chunks(stream)
     for text in chunks:
         if '"' in text:
             # A quoted field may run past this chunk, so the per-cell
             # reader takes the rest of the stream.
-            blocks = _parse_cells(_lines(chain([text], chunks)), len(header),
+            blocks = _parse_cells(_lines(chain([text], chunks)), n_fields,
                                   usecols, names, row - 1)
         else:
-            block = _convert_chunk(text, len(header), usecols)
+            block = _convert_chunk(text, n_fields, usecols)
             blocks = ([block] if block is not None else
-                      _parse_cells(_lines([text]), len(header), usecols,
+                      _parse_cells(_lines([text]), n_fields, usecols,
                                    names, row - 1))
         for block in blocks:
             if len(block):
                 yield block, row
                 row += len(block)
-    if row == 1:
-        raise CsvFormatError("data section is empty")
+    return row - 1
 
 
 def _chunks(stream: IO[str]) -> Iterator[str]:

@@ -5,11 +5,19 @@ vertices as it goes; ``build_lattice(read_csv(...))`` holds every row
 first.  These tests hold the two to the same exact vertices and the same
 errors, hold the fold to the same exact vertices over any split of the
 rows into blocks, check that memory stays flat in the number of rows,
-and check that no CLI command builds a Dataset.
+and check that no CLI command builds a Dataset.  A large file is read
+as byte ranges by forked workers; those tests hold it to the serial
+read's exact lattice and errors, and check that no worker outlives it.
 """
 
 import io
+import os
+import signal
+import tempfile
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -230,6 +238,239 @@ class TestFlatMemory:
             peaks.append(peak_bytes(
                 lambda: read_lattice(path, ["x", "y", "z"], self.DIRECTIONS)))
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+SPLIT_DIRECTIONS = [UNITY, Direction("x"), Direction("y"), Direction("x", "y")]
+
+
+@contextmanager
+def usable_cpus(count, chunk_chars=16):
+    """``count`` usable CPUs and chunks of ``chunk_chars`` characters, so
+    that a file of a few hundred bytes splits into up to ``count`` ranges;
+    yields spies on the workers forked and on serial reads."""
+    with mock.patch.object(dataio.os, "sched_getaffinity",
+                           return_value=set(range(count))), \
+            mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars), \
+            mock.patch.object(dataio, "_fork", wraps=dataio._fork) as fork, \
+            mock.patch.object(dataio, "_blocks", wraps=dataio._blocks) as serial:
+        yield fork, serial
+
+
+def serial_outcome(raw, names, directions):
+    """The outcome of the serial read: a binary stream is never split."""
+    return lattice_outcome(
+        lambda: read_lattice(io.BytesIO(raw), names, directions))
+
+
+def cuts_of(path):
+    with open(path, "rb") as file:
+        return dataio._cuts(file.fileno())
+
+
+@st.composite
+def split_documents(draw):
+    """CSV bytes of 40 to 160 rows that split into ranges: selected
+    columns x and y of normal, subnormal, zero and +-1e300 values, an
+    unselected text column t that may be non-ASCII, blank lines alone
+    and in runs long enough to fill a range, lines ending in LF or CRLF
+    (or a mix with CR), and maybe a BOM."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "mix"]))
+    ends = ["\n", "\r\n", "\r"] if newline == "mix" else [newline]
+    cell = values.map(repr)
+    text = st.sampled_from(["a", "caf\xe9", "\u0663", "na\xefve x", ""])
+    lines = []
+    for _ in range(draw(st.integers(8, 20))):
+        end = draw(st.sampled_from(ends))
+        lines.append(end * draw(st.sampled_from([0] * 6 + [1, 2, 200]))
+                     + f"{draw(cell)},{draw(text)},{draw(cell)}" + end)
+    lines *= draw(st.integers(5, 8))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + "x,t,y" + ends[0] + "".join(lines)).encode("utf-8"), newline
+
+
+class TestSplitRead:
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @settings(max_examples=40, deadline=None)
+    @given(document=split_documents(), cpus=st.integers(2, 4),
+           names=st.sampled_from([("x", "y"), ("y", "x"), ("y", "t", "x")]))
+    def test_same_exact_lattice(self, document, cpus, names):
+        raw, newline = document
+        directions = SPLIT_DIRECTIONS
+        if "t" in names:  # a text column read as numbers fails
+            directions = [UNITY, Direction("x")]
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "data.csv")
+            with open(path, "wb") as out:
+                out.write(raw)
+            with usable_cpus(cpus) as (fork, serial):
+                expected = serial_outcome(raw, names, directions)
+                cuts = cuts_of(path)
+                serial.reset_mock()
+                assert lattice_outcome(
+                    lambda: read_lattice(path, names, directions)) == expected
+        if newline != "mix":
+            assert cuts and len(cuts) == cpus + 1
+        ranges = len(cuts) - 1 if cuts else 1
+        assert fork.call_count == ranges - 1
+        # A serial read follows only an unsplit file or a failed range, and
+        # every range fails when the text column t is read as numbers.
+        assert serial.call_count == (ranges == 1 or "t" in names)
+
+    def test_ranges_of_blank_lines_only(self, tmp_path):
+        # The middle ranges hold only blank lines; "data section is
+        # empty" is a verdict on the whole file, never on one range.
+        raw = b"x,y\n1.5,2\n" + b"\n" * 3000 + b"-3,4.25e-310\n"
+        path = tmp_path / "blank.csv"
+        path.write_bytes(raw)
+        with usable_cpus(4) as (fork, serial):
+            expected = serial_outcome(raw, ("x", "y"), SPLIT_DIRECTIONS)
+            serial.reset_mock()
+            assert lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+        assert fork.call_count == 3 and serial.call_count == 0
+        assert expected[0][(), ()] == 2
+
+        path.write_bytes(b"x,y\n" + b"\r\n" * 3000)
+        with usable_cpus(4) as (fork, serial), \
+                pytest.raises(CsvFormatError, match="^data section is empty$"):
+            read_lattice(path, ("x", "y"), SPLIT_DIRECTIONS)
+        assert fork.call_count == 3 and serial.call_count == 1
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("fault", ["cell", "ragged"])
+    def test_same_error_from_any_range(self, tmp_path, cpus, where, fault):
+        rows = [f"{i / 7!r},{-i!r}" for i in range(400)]
+        at = 20 if where == "first" else 390
+        rows[at] = "1,oops" if fault == "cell" else "1,2,3"
+        raw = ("x,y\n" + "\n".join(rows) + "\n").encode()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with usable_cpus(cpus) as (fork, serial):
+            expected = serial_outcome(raw, ("x", "y"), SPLIT_DIRECTIONS)
+            serial.reset_mock()
+            assert lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+        assert expected[2] == at + 1
+        assert fork.call_count == cpus - 1 and serial.call_count == 1
+
+    def test_bom_after_a_cut_is_a_bad_cell(self, tmp_path):
+        # U+FEFF is a BOM only at the start of the file.  At the start of a
+        # later range it is the first character of a cell, as when read
+        # serially, so the cell is no number.
+        rows = [f"{i}.5,{i}" for i in range(300)]
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("x,y\n" + "\n".join(rows) + "\n").encode())
+        with usable_cpus(2):
+            cut = cuts_of(path)[1]
+        raw = bytearray(path.read_bytes())
+        raw[cut:cut + 3] = "\ufeff".encode()
+        path.write_bytes(raw)
+        with usable_cpus(2) as (fork, _):
+            expected = serial_outcome(bytes(raw), ("x", "y"), SPLIT_DIRECTIONS)
+            assert expected[0] == "CsvFormatError" and expected[3] == "x"
+            assert lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+        assert fork.call_count == 1
+
+    def test_decode_error_past_a_cut_comes_first(self, tmp_path):
+        # Range 0 ends in a bad cell and range 1 starts with a byte that
+        # is no UTF-8.  The serial read decodes ahead of its parse, so it
+        # reports the byte; range 0 alone would report the cell, which is
+        # why an error in any range is left to the serial read.
+        rows = [f"{i}.5,{i}" for i in range(300)]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("x,y\n" + "\n".join(rows) + "\n").encode())
+        with usable_cpus(2):
+            cut = cuts_of(path)[1]
+        raw = bytearray(path.read_bytes())
+        before = raw.rindex(b"\n", 0, cut - 1) + 1
+        raw[before:before + 3] = b"bad"
+        raw[cut] = 0xFF
+        path.write_bytes(raw)
+        with usable_cpus(2) as (fork, _):
+            expected = serial_outcome(bytes(raw), ("x", "y"), SPLIT_DIRECTIONS)
+            assert "cannot be decoded" in expected[1]
+            assert lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+        assert fork.call_count == 1
+
+    def test_slow_workers_are_killed_when_range_0_fails(self, tmp_path):
+        rows = [f"{i},{i}" for i in range(400)]
+        rows[5] = "oops,1"
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        start = time.monotonic()
+        with usable_cpus(3) as (fork, _), \
+                mock.patch.object(dataio, "_fold_range",
+                                  lambda *args: time.sleep(60)), \
+                pytest.raises(CsvFormatError) as info:
+            read_lattice(path, ("x", "y"), SPLIT_DIRECTIONS)
+        assert (info.value.row, info.value.column) == (6, "x")
+        assert fork.call_count == 2 and time.monotonic() - start < 30
+
+    def test_a_worker_that_dies_is_read_serially(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_rows(path, 400)
+        with usable_cpus(2):
+            expected = lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS))
+        with usable_cpus(2) as (fork, serial), \
+                mock.patch.object(dataio, "_fold_range",
+                                  lambda *args: os.kill(os.getpid(),
+                                                        signal.SIGKILL)):
+            assert lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+        assert fork.call_count == 1 and serial.call_count == 1
+
+    def test_serial_cases_stay_serial(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_rows(path, 400)
+        quoted = tmp_path / "quoted.csv"
+        write_rows(quoted, 400)
+        with open(quoted, "a") as out:
+            out.write('"1",2,3\n')
+        names = ("x", "y")
+
+        def reads(source, cpus=4, chunk_chars=16):
+            """Workers forked and serial reads made by one read."""
+            with usable_cpus(cpus, chunk_chars) as (fork, serial):
+                read_lattice(source, names, SPLIT_DIRECTIONS)
+            return fork.call_count, serial.call_count
+
+        assert reads(path) == (3, 0)
+        assert reads(quoted) == (0, 1)
+        with open(path, "rb") as stream:
+            assert reads(stream) == (0, 1)
+        assert reads(path, cpus=1) == (0, 1)
+        assert reads(path, chunk_chars=1 << 16) == (0, 1)  # a small file
+
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert reads(path) == (0, 1)
+        finally:
+            done.set()
+            thread.join()
+
+    def test_cli_stdin_is_read_serially(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "data.csv"
+        write_rows(path, 400)
+        argv = ["rotate", "--columns", "x,y,z", "--format", "json"]
+        with usable_cpus(4) as (fork, _):
+            assert main([*argv, "--input", str(path)]) == 0
+            from_path = capsys.readouterr().out
+            with open(path, "rb") as stdin:
+                monkeypatch.setattr("sys.stdin", stdin)
+                assert main([*argv, "--input", "-"]) == 0
+        assert capsys.readouterr().out == from_path
+        assert fork.call_count == 3
 
 
 CLI_REQUESTS = [
