@@ -38,28 +38,32 @@ The per-cell reader also yields blocks of at most :data:`_CELL_ROWS`
 rows, so a quoted file streams in flat memory too.  Both readers accept
 the same input and give the same values bit for bit.
 
-:func:`read_lattice` reads a large file on every usable CPU.  A vertex
-is a sum over rows of exact integers, so the lattice of a file is the
-exact sum of the lattices of its parts.  The file is cut just after a
-``\n`` into byte ranges, one per CPU that ``os.sched_getaffinity``
-allows and each at least :data:`_RANGE_CHUNKS` chunks long.  The parent
+:func:`read_lattice` reads a large file on up to :data:`_MAX_RANGES`
+CPUs (two, the count that was measured).  A vertex is a sum over rows of
+exact integers, so the lattice of a file is the exact sum of the
+lattices of its parts.  The file is cut just after a ``\n`` into byte
+ranges, one per CPU that ``os.sched_getaffinity`` allows, at most that
+many and each at least :data:`_RANGE_CHUNKS` chunks long.  The parent
 forks a worker for each range but the first; a worker folds its range
 through the readers above, writes its partial lattice to a pipe and
 leaves with ``os._exit``.  The parent reads the header and folds the
 first range meanwhile, then adds the partial lattices by the shift and
-add with which the lattice sums its blocks.  The file is read serially
-instead where it is stdin or another stream, holds a ``"`` anywhere (a
-quoted field may span a cut; the scan for it reads
+add with which the lattice sums its blocks.  The path is opened once,
+and the ranges are read at their offsets, so a file read serially after
+all is read from the same open file.  The file is read serially where it
+is stdin or another stream or no regular file (a named pipe), holds a
+``"`` anywhere (a quoted field may span a cut; the scan for it reads
 :data:`_SCAN_BYTES` at a time, so that file pages do not swell RSS), is
-too small for two ranges, where only one CPU is usable, or where the
-process runs other threads.  If any range fails, even the first, all
-workers are killed and reaped and the file is read again serially,
-which gives exactly the serial message and row: the serial reader
-decodes ahead of its parse, so a byte past a cut that cannot be decoded
-comes before a bad cell just ahead of it.  Every worker is reaped on
-every path.  Python 3.12 and later warn, in the parent, when a process
-with threads (here OpenBLAS's pool) forks; that warning is silenced for
-the fork alone, as explained at :func:`_fork`.
+too small for two ranges, where only one CPU is usable, where the
+process runs other threads, or where SIGCHLD is ignored or handled (the
+workers must stay the parent's to reap).  If any range fails, even the
+first, all workers are killed and reaped and the file is read again
+serially, which gives exactly the serial message and row: the serial
+reader decodes ahead of its parse, so a byte past a cut that cannot be
+decoded comes before a bad cell just ahead of it.  Every worker is
+reaped on every path.  Python 3.12 and later warn, in the parent, when a
+process with threads (here OpenBLAS's pool) forks; that warning is
+silenced for the fork alone, as explained at :func:`_fork`.
 
 Every report is one payload in the :data:`REPORT_SCHEMA` layout, which
 :func:`render` serializes to JSON (stable key order, shortest round-trip
@@ -171,7 +175,8 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
     streaming pass: each chunk of rows is folded into the exact vertices
     as it is parsed, and no row outlives its chunk, so memory stays flat
     in the number of rows.  A large file is read as byte ranges, one per
-    usable CPU, whose exact lattices are added (see the module notes).
+    usable CPU up to :data:`_MAX_RANGES`, whose exact lattices are added
+    (see the module notes).
 
     ``source`` and ``names`` are as in :func:`read_csv`, which gives the
     same errors; the lattice is the same, exactly.  ``directions`` must
@@ -180,56 +185,72 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
     any input is read).
     """
     names = _selection(names)
-    if isinstance(source, (str, Path)):
-        lattice = _read_ranges(source, names, directions)
-        if lattice is not None:
-            return lattice
-    with _text(source) as stream:
-        return lattice_of_rows((block for block, _ in _blocks(stream, names)),
-                               names, directions)
+    with ExitStack() as stack:
+        if isinstance(source, (str, Path)):
+            # The path is opened once: a named pipe's data is gone once
+            # its reader closes it, and the path may be replaced meanwhile.
+            source = stack.enter_context(open(source, "rb"))
+            lattice = _read_ranges(source.fileno(), names, directions)
+            if lattice is not None:
+                return lattice
+        with _text(source) as stream:
+            return lattice_of_rows(
+                (block for block, _ in _blocks(stream, names)), names,
+                directions)
 
 
-def _read_ranges(path: str | Path, names: tuple[str, ...],
+def _read_ranges(fd: int, names: tuple[str, ...],
                  directions: Sequence[Direction]) -> Lattice | None:
-    """The lattice of the file at ``path`` read as byte ranges, range 0
+    """The lattice of the file open at ``fd`` read as byte ranges, range 0
     here and each other range by a forked worker, or None where the file
     is to be read serially: where :func:`_cuts` gives no split, or where
-    any range fails, so that the serial read gives the error."""
-    with open(path, "rb") as file:
-        cuts = _cuts(file.fileno())
-        if cuts is None:
-            return None
-        workers: dict[int, int] = {}  # pid: read end of its pipe
-        try:
-            with io.BufferedReader(_Range(file.fileno(), 0, cuts[1])) as head, \
-                    _text(head) as stream:
-                fields = _header(stream, names)
-                for start, end in zip(cuts[1:], cuts[2:]):
-                    pid, pipe = _fork(_fold_range, file.fileno(), start, end,
-                                      fields, names, directions)
-                    workers[pid] = pipe
-                parts = [_partial(_data(stream, *fields, names), names, directions)]
-            for pid in list(workers):
-                with open(workers[pid], "rb", closefd=False) as pipe:
-                    payload = pipe.read()
-                os.close(workers.pop(pid))
-                if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
-                    return None
-                parts.append(pickle.loads(payload))  # from this module's worker
-        except (CsvFormatError, OSError):  # OSError: a fork the host refused
-            return None
-        finally:
-            for pid, pipe in workers.items():
-                os.close(pipe)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    any range fails, so that the serial read gives the error.  The file
+    is read at offsets only, so its position stays at the start for that
+    read."""
+    cuts = _cuts(fd)
+    if cuts is None:
+        return None
+    workers: dict[int, int] = {}  # pid: read end of its pipe
+    try:
+        with io.BufferedReader(_Range(fd, 0, cuts[1])) as head, \
+                _text(head) as stream:
+            fields = _header(stream, names)
+            for start, end in zip(cuts[1:], cuts[2:]):
+                pid, pipe = _fork(_fold_range, fd, start, end, fields, names,
+                                  directions)
+                workers[pid] = pipe
+            parts = [_partial(_data(stream, *fields, names), names, directions)]
+        for pid in list(workers):
+            with open(workers[pid], "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            os.close(workers.pop(pid))
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                return None
+            parts.append(pickle.loads(payload))  # from this module's worker
+    except (CsvFormatError, OSError):  # OSError: a fork the host refused
+        return None
+    finally:
+        # No other code reaps these children: _cuts splits only while
+        # SIGCHLD has its default action and no other thread runs.
+        for pid, pipe in workers.items():
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     parts = [part for part in parts if part is not None]
     return _sum(parts) if parts else None  # no rows: the serial read says so
 
 
-#: Each byte range holds at least this many chunks, so a range's fixed
-#: cost (a fork, a pipe, a partial lattice) stays small beside its parse.
-_RANGE_CHUNKS = 4
+#: Each byte range holds at least this many chunks (1 MB), so that a
+#: split's fixed cost (a fork, the pages both processes then copy on
+#: write, a pipe, a partial lattice; about 15 ms on 2 vCPUs) stays below
+#: what the second CPU saves.  On that host ``rotate`` lost to the serial
+#: read on a 1 MB file, broke even at 1.5 MB and gained from 2 MB on.
+_RANGE_CHUNKS = 16
+
+#: Byte ranges at most, whatever the number of usable CPUs.  The split was
+#: measured on 2 CPUs only, and ``os.sched_getaffinity`` does not see a
+#: CPU quota, under which more workers would only share the same time.
+_MAX_RANGES = 2
 
 #: Bytes per read of the scan for quotes and cut points.  The scan holds
 #: no more of the file than this at once; an mmap of the file would count
@@ -240,14 +261,17 @@ _SCAN_BYTES = 1 << 16
 def _cuts(fd: int) -> list[int] | None:
     """Offsets that cut the regular file open at ``fd`` into byte ranges,
     from 0 to its size, each cut just after a ``\n``; or None where the
-    file is read serially.  There is a range per usable CPU, at most one
-    per ``_RANGE_CHUNKS`` chunks.  A file holding a ``"`` is read
-    serially, since a quoted field may span a cut, and so is any file in
-    a process running other threads, which a fork would not copy."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    file is read serially.  There is a range per usable CPU, at most
+    ``_MAX_RANGES`` and one per ``_RANGE_CHUNKS`` chunks.  A file holding
+    a ``"`` is read serially, since a quoted field may span a cut; so is
+    any file in a process running other threads, which a fork would not
+    copy, or one whose SIGCHLD is ignored or handled, since the workers
+    must stay the parent's to reap."""
+    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+            or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL):
         return None
     info = os.fstat(fd)
-    parts = min(len(os.sched_getaffinity(0)),
+    parts = min(len(os.sched_getaffinity(0)), _MAX_RANGES,
                 info.st_size // (_RANGE_CHUNKS * _CHUNK_CHARS))
     if parts < 2 or not stat.S_ISREG(info.st_mode):
         return None

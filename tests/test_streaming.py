@@ -13,6 +13,8 @@ read's exact lattice and errors, and check that no worker outlives it.
 import io
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -244,12 +246,14 @@ SPLIT_DIRECTIONS = [UNITY, Direction("x"), Direction("y"), Direction("x", "y")]
 
 
 @contextmanager
-def usable_cpus(count, chunk_chars=16):
-    """``count`` usable CPUs and chunks of ``chunk_chars`` characters, so
-    that a file of a few hundred bytes splits into up to ``count`` ranges;
-    yields spies on the workers forked and on serial reads."""
+def usable_cpus(count, chunk_chars=4, most=None):
+    """``count`` usable CPUs, up to ``most`` ranges (``count`` if None) and
+    chunks of ``chunk_chars`` characters, so that a file of a few hundred
+    bytes splits into up to ``count`` ranges; yields spies on the workers
+    forked and on serial reads."""
     with mock.patch.object(dataio.os, "sched_getaffinity",
                            return_value=set(range(count))), \
+            mock.patch.object(dataio, "_MAX_RANGES", most or count), \
             mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars), \
             mock.patch.object(dataio, "_fork", wraps=dataio._fork) as fork, \
             mock.patch.object(dataio, "_blocks", wraps=dataio._blocks) as serial:
@@ -437,7 +441,7 @@ class TestSplitRead:
             out.write('"1",2,3\n')
         names = ("x", "y")
 
-        def reads(source, cpus=4, chunk_chars=16):
+        def reads(source, cpus=4, chunk_chars=4):
             """Workers forked and serial reads made by one read."""
             with usable_cpus(cpus, chunk_chars) as (fork, serial):
                 read_lattice(source, names, SPLIT_DIRECTIONS)
@@ -450,6 +454,15 @@ class TestSplitRead:
         assert reads(path, cpus=1) == (0, 1)
         assert reads(path, chunk_chars=1 << 16) == (0, 1)  # a small file
 
+        # Workers the parent could not reap, or that a handler might reap
+        # before it, are never forked.
+        for action in (signal.SIG_IGN, lambda signum, frame: None):
+            previous = signal.signal(signal.SIGCHLD, action)
+            try:
+                assert reads(path) == (0, 1)
+            finally:
+                signal.signal(signal.SIGCHLD, previous)
+
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
@@ -458,6 +471,75 @@ class TestSplitRead:
         finally:
             done.set()
             thread.join()
+
+    def test_ranges_are_capped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_rows(path, 400)
+        with usable_cpus(8, most=dataio._MAX_RANGES) as (fork, serial):
+            read_lattice(path, ("x", "y"), SPLIT_DIRECTIONS)
+            assert len(cuts_of(path)) == dataio._MAX_RANGES + 1
+        assert fork.call_count == dataio._MAX_RANGES - 1
+        assert serial.call_count == 0
+
+    def test_named_pipe_is_opened_once(self, tmp_path):
+        # A named pipe is no regular file, so it is read serially, from its
+        # one open: a reader that closed it and opened it again would lose
+        # what the writer had sent, then wait for a writer that is gone.
+        data = tmp_path / "data.csv"
+        write_rows(data, 400)
+        with usable_cpus(2):
+            expected = lattice_outcome(lambda: read_lattice(
+                data, ("x", "y"), SPLIT_DIRECTIONS))
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = subprocess.Popen([
+            sys.executable, "-c",
+            "import sys; open(sys.argv[2], 'wb').write("
+            "open(sys.argv[1], 'rb').read())", str(data), str(pipe)])
+
+        def stuck(signum, frame):
+            raise TimeoutError("read_lattice waits on the pipe")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(30)
+        try:
+            with usable_cpus(2) as (fork, serial):
+                assert lattice_outcome(lambda: read_lattice(
+                    pipe, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            try:
+                writer.wait(timeout=30)
+            finally:
+                writer.kill()  # only if it is still running
+                writer.wait()
+        assert writer.returncode == 0
+        assert fork.call_count == 0 and serial.call_count == 1
+
+    def test_fallback_reads_the_file_that_was_opened(self, tmp_path):
+        # A bad cell in range 0 sends the read back to the serial reader,
+        # which reads the file already open, not whatever the path names
+        # by then.
+        path = tmp_path / "data.csv"
+        rows = [f"{i},{i}" for i in range(400)]
+        rows[5] = "oops,1"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        other = tmp_path / "other.csv"
+        write_rows(other, 400)
+        fork = dataio._fork
+
+        def fork_then_replace(*args):
+            forked = fork(*args)
+            os.replace(other, path)
+            return forked
+
+        with usable_cpus(2), \
+                mock.patch.object(dataio, "_fork", fork_then_replace), \
+                pytest.raises(CsvFormatError) as info:
+            read_lattice(path, ("x", "y"), SPLIT_DIRECTIONS)
+        assert (info.value.row, info.value.column) == (6, "x")
+        assert not other.exists()
 
     def test_cli_stdin_is_read_serially(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "data.csv"
