@@ -6,6 +6,12 @@ Subcommands: ``measures`` (vertices and the determinant family),
 convergence check).  Exit codes are a stable contract: 0 success,
 2 usage or model-expression error (including an input file that cannot
 be opened), 3 data error, 4 singular system.
+
+:func:`main` is the in-process API: tests and the benchmark call it many
+times in one process, so it never calls ``gc.freeze()``.  A frozen
+object is never collected again, so each call would freeze the garbage
+of the requests before it.  The freeze belongs to the process entry,
+:func:`latreg.__main__.run`, which runs ``main`` once.
 """
 
 from __future__ import annotations
@@ -118,7 +124,14 @@ def _load(args, columns: list[str], directions: list[Direction]) -> Lattice:
 
 
 def _emit(payload_bytes: bytes) -> None:
-    sys.stdout.write(payload_bytes.decode("utf-8"))
+    # A report is UTF-8 whatever the stream's encoding, so its bytes go to
+    # the binary buffer; a text-only stream (io.StringIO) takes the text.
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(payload_bytes.decode("utf-8"))
+        return
+    sys.stdout.flush()
+    buffer.write(payload_bytes)
 
 
 def _cmd_measures(args) -> int:

@@ -1,12 +1,18 @@
+import gc
+import importlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import latreg.__main__
 import latreg.cli
 import latreg.dataio
 import latreg.lattice
@@ -35,6 +41,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_entry(capsysbinary, *argv):
+    """``argv`` through ``python -m latreg`` and through in-process
+    ``main``: stdout, stderr and exit code must match byte for byte."""
+    result = subprocess.run([sys.executable, "-m", "latreg", *argv],
+                            capture_output=True)
+    code = main(list(argv))
+    captured = capsysbinary.readouterr()
+    assert (code, captured.out, captured.err) == (
+        result.returncode, result.stdout, result.stderr)
+    return result
 
 
 class TestMeasures:
@@ -486,6 +504,23 @@ class TestMeans:
         assert code == 3
         assert "zero" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_report_bytes_ignore_stream_encoding(self, tmp_path, fmt):
+        path = tmp_path / "u.csv"
+        path.write_text("\u00e9,y\n1,2\n3,5\n", encoding="utf-8")
+        argv = [sys.executable, "-m", "latreg", "means", "--input", str(path),
+                "--columns", "\u00e9,y", "--format", fmt]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        default = subprocess.run(argv, capture_output=True, env=env)
+        ascii_stream = subprocess.run(argv, capture_output=True,
+                                      env={**env, "PYTHONIOENCODING": "ascii"})
+        assert default.returncode == 0, default.stderr
+        assert ascii_stream.returncode == 0, ascii_stream.stderr
+        assert ascii_stream.stdout == default.stdout
+        assert ascii_stream.stderr == default.stderr == b""
+        if fmt == "text":
+            assert "standard[\u00e9] = 2.0\n".encode("utf-8") in default.stdout
+
 
 class TestContract:
     def test_byte_identical_reruns(self, capsys, d1_path):
@@ -516,11 +551,9 @@ class TestContract:
         assert err.startswith("error: ")
         assert missing in err
 
-    def test_console_entry_point(self, d1_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "latreg", "rotate", "--input", d1_path,
-             "--columns", "x,y", "--format", "json"],
-            capture_output=True, text=True)
+    def test_console_entry_point(self, capsysbinary, d1_path):
+        result = run_entry(capsysbinary, "rotate", "--input", d1_path,
+                           "--columns", "x,y", "--format", "json")
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert len(payload["rotations"]) == 3
@@ -540,14 +573,20 @@ class TestContract:
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_subprocess_singular_exit(self, tmp_path):
+    def test_subprocess_singular_exit(self, capsysbinary, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("x,y\n1,1\n2,2\n3,3\n", encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, "-m", "latreg", "fit", "--input", str(path),
-             "--model", "1 = x + y"],
-            capture_output=True, text=True)
+        result = run_entry(capsysbinary, "fit", "--input", str(path),
+                           "--model", "1 = x + y")
         assert result.returncode == 4
+
+    # rotate and exit 4 run through the entry in the two tests above.
+    @pytest.mark.parametrize("case", ["measures", "means", "fit", "simulate",
+                                      "usage-error", "data-error"])
+    def test_entry_matches_in_process(self, capsysbinary, tmp_path, case):
+        argv, source, expected = ENTRY_CASES[case]
+        argv = entry_argv(tmp_path, argv, source)
+        assert run_entry(capsysbinary, *argv).returncode == expected
 
 
 D1_MEASURES_TEXT = """\
@@ -752,3 +791,84 @@ class TestTextGolden:
                            "--model", "y = 1 + x*x", "--format", "json")
         assert code == 0
         assert out.startswith('{\n  "measures": {},\n  "rotations": [\n')
+
+
+# One request per command and one per failing exit code: (argv, input, code).
+ENTRY_CASES = {
+    "measures": (("measures", "--columns", "x,y,z"), "d2", 0),
+    "means": (("means", "--columns", "x,y", "--format", "json"), "d1", 0),
+    "fit": (("fit", "--model", "1 = x + y + x*y"), "d1", 0),
+    "rotate": (("rotate", "--columns", "x,y,z", "--format", "json"), "d2", 0),
+    "simulate": (("simulate", "--seed", "3", "--n", "50", "--trials", "2"),
+                 None, 0),
+    "usage-error": (("fit", "--model", "y = 1 +"), "d1", 2),
+    "data-error": (("rotate", "--columns", "x,w"), "d1", 3),
+    "singular": (("fit", "--model", "1 = x + y"), "dup", 4),
+}
+
+
+def entry_argv(tmp_path, argv, source):
+    if source is None:
+        return argv
+    path = tmp_path / f"{source}.csv"
+    path.write_text(INPUTS[source], encoding="utf-8")
+    return (*argv, "--input", str(path))
+
+
+class TestProcessEntry:
+    """Only the process entry freezes the heap, once, before ``main``."""
+
+    @pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+    def test_main_never_freezes(self, capsys, tmp_path, case):
+        argv, source, expected = ENTRY_CASES[case]
+        argv = entry_argv(tmp_path, argv, source)
+        frozen = gc.get_freeze_count()
+        code, _, _ = run(capsys, *argv)
+        assert code == expected
+        assert gc.get_freeze_count() == frozen
+
+    def test_import_does_not_freeze(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import gc, latreg, latreg.cli, latreg.__main__; "
+             "print(gc.get_freeze_count())"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
+
+    def test_run_freezes_once_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+        def fake_main():
+            calls.append("main")
+            return 4
+
+        monkeypatch.setattr(latreg.__main__, "main", fake_main)
+        assert latreg.__main__.run() == 4
+        assert calls == ["freeze", "main"]
+
+    def test_module_entry_freezes(self):
+        # What ``python -m latreg`` runs, with the freeze count read after.
+        script = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['latreg', 'simulate', '--seed', '1', '--n', '10',"
+            " '--trials', '1']\n"
+            "try:\n"
+            "    runpy.run_module('latreg', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    print(stop.code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True)
+        assert result.stderr == "0 True\n"
+        assert result.stdout.startswith("simulation:\n")
+
+    def test_console_script_runs_the_entry(self):
+        # Read as text: Python 3.10 has no tomllib.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = re.search(r'^latreg\s*=\s*"([\w.]+):(\w+)"\s*$',
+                           pyproject.read_text(encoding="utf-8"), re.M)
+        assert target is not None
+        module, name = target.groups()
+        assert getattr(importlib.import_module(module), name) \
+            is latreg.__main__.run
