@@ -4,12 +4,14 @@ Take G, the vertex matrix over (1, x, y), and its cofactor matrix C:
 C[i][j] is (-1)^(i + j) times the determinant of G without row i and
 column j.  The six distinct cofactors are the six catalog determinants,
 and each row of C is one rotation: the fit with response r has the
-denominator C[r][r] and the numerators -C[r][j].
+denominator C[r][r] and the numerators -C[r][j].  Its SSE, the least
+squares minimum, is the Schur complement det G / C[r][r].
 
 Standard regression (y on x) reads the y row: the variance delta_11xx
 over the covariance delta_11xy and the internal covariance delta_1yxx.
 Non-response analysis (1 = x + y) reads the unity row: the internal
-covariances delta_1xyy and delta_1yxx over the base variance delta_xxyy.
+covariances delta_1xyy and delta_1yxx over the base variance delta_xxyy,
+and its SSE is det G over that base variance.
 """
 
 from fractions import Fraction
@@ -36,12 +38,14 @@ def cofactor(i, j):
 
 
 C = [[cofactor(i, j) for j in range(3)] for i in range(3)]
+det_G = sum(G[0][j] * C[0][j] for j in range(3))
 print("G over (1, x, y):")
 for row in G:
     print("  ", [str(v) for v in row])
 print("C, its cofactor matrix:")
 for row in C:
     print("  ", [str(v) for v in row])
+print("det G =", det_G)
 
 # The catalog is the six distinct cofactors, with their signs.
 catalog = measure_catalog(lat, ["x", "y"])
@@ -64,5 +68,7 @@ for rotation in fit_all_rotations(lat, dirs):
     assert result.denominator == float(den)
     assert result.numerators == tuple(float(n) for n in nums)
     assert result.coefficients == tuple(float(n / den) for n in nums)
+    assert result.sse == float(det_G / den)
     print(f"  row {r}: {result.spec.label:9s} denominator C[{r}][{r}] = {den}, "
-          f"coefficients {[str(n / den) for n in nums]}")
+          f"coefficients {[str(n / den) for n in nums]}, "
+          f"SSE det G / C[{r}][{r}] = {det_G / den}")

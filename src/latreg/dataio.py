@@ -586,9 +586,7 @@ REPORT_SCHEMA = {
                                 "type": "array", "items": {"type": "number"},
                             },
                             "sse": {"type": "number"},
-                            "flag": {
-                                "enum": ["well-posed", "near-singular"],
-                            },
+                            "flag": {"enum": ["well-posed"]},
                         },
                         "required": ["response", "coefficients", "denominator",
                                      "numerators", "sse", "flag"],

@@ -7,16 +7,19 @@ rather than in any single variable.  Rotational analysis refits the same
 direction set with each member, unity included, taking the response
 role in turn.
 
-Coefficients come from the cofactor matrix C of the integer vertex
-matrix G over (response, regressors...): the fit with response r has
-system determinant C[r][r] and numerator -C[r][j] for regressor j
-(Cramer's rule), so one C serves every rotation.  For the line y on x
-the slope numerator is the covariance determinant n sum(xy) - sum(x)
-sum(y), the textbook one; the same determinant with its unity column
-reversed is its exact negation.
+Every value of a fit is read from the cofactor matrix C of the integer
+vertex matrix G over (response, regressors...): the fit with response r
+has system determinant C[r][r] and numerator -C[r][j] for regressor j
+(Cramer's rule), and its least squares minimum, the SSE, is the Schur
+complement det G / C[r][r], where det G = sum_j G[r][j] C[r][j].  So one
+C serves every rotation; the SSE of the implicit fit 1 = x + y is det G
+over the base variance delta_xxyy.  For the line y on x the slope
+numerator is the covariance determinant n sum(xy) - sum(x) sum(y), the
+textbook one; the same determinant with its unity column reversed is
+its exact negation.
 
 Coefficients, determinants and the SSE read only the exact vertices of
-:mod:`latreg.lattice` and are rounded once, so a system is singular
+:mod:`latreg.lattice` and are each rounded once, so a system is singular
 exactly when its determinant is 0, and no fit reads the rows.  One
 lattice serves a whole request::
 
@@ -31,7 +34,6 @@ lattice serves a whole request::
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -94,9 +96,9 @@ class FitResult:
     for an explicit simple line, the base variance for the two-regressor
     implicit model) and ``numerators`` are the column-replaced
     determinants in regressor order, held as ``(integer, exponent)``.
-    ``sse`` is the exact sum of squared residuals of the reported
-    coefficients, from the lattice.  Each value is rounded once when
-    first read; one outside the float range raises
+    ``sse`` is the least squares minimum, the sum of squared residuals at
+    the exact coefficients: det G / ``denominator``.  Each value is
+    rounded once when first read; one outside the float range raises
     :class:`~latreg.errors.NonFiniteResultError` naming it.
     """
 
@@ -124,17 +126,16 @@ class FitResult:
 
     @cached_property
     def sse(self) -> float:
-        """w' V w over (response, regressors) with w = (1, -c_1, ...,
-        -c_k): sum_i (r_i - sum_j c_j x_ij)^2, exactly."""
-        g, exps = self.lattice.matrix((self.spec.response, *self.spec.regressors))
-        weights = [(1, 1)] + [(-c).as_integer_ratio() for c in self.coefficients]
-        # w_d 2^e_d = m_d 2^low, with a power-of-two denominator q: 2^(1 - q.bit_length()).
-        scaled = [(m, e + 1 - q.bit_length()) for (m, q), e in zip(weights, exps)]
-        low = min(e for _, e in scaled)
-        w = [m << (e - low) for m, e in scaled]
-        total = sum(wi * wj * gij for wi, row in zip(w, g)
-                    for wj, gij in zip(w, row))
-        return rounded(total, 2 * low, "SSE of {0.label!r}", self.spec)
+        """det G / C[0][0], G over (response, regressors), with det G =
+        sum_j G[0][j] C[0][j]: C[0][0] is the denominator and C[0][j] the
+        negated numerators.  Each term carries 2^(2 sum e), and C[0][0]
+        2^(2 sum e - 2 e_0)."""
+        (row, *_), (e0, *_) = self.lattice.matrix(
+            (self.spec.response, *self.spec.regressors))
+        den, _ = self.exact_denominator
+        det = row[0] * den - sum(g * num for g, (num, _) in
+                                 zip(row[1:], self.exact_numerators))
+        return rounded(det, 2 * e0, "SSE of {0.label!r}", self.spec, den=den)
 
     def predict(self, data: Dataset) -> np.ndarray:
         """Fitted values of the response direction on ``data``."""
@@ -228,34 +229,26 @@ def fit_all_rotations(source: Dataset | Lattice,
 
 
 def residual_report(fit_result: FitResult, data: Dataset) -> dict:
-    """Per-row residuals and error sums for a fit.
+    """Per-row residuals and the error sum of a fit.
 
     Returns a mapping with deterministic key order: ``"model"``,
-    ``"residuals"``, ``"sse"`` (:func:`math.fsum` of the squared per-row
-    residuals), and for non-response fits additionally
-    ``"system_error"``, the error in the system sum(1 - sum_j c_j reg_j)^2
-    (identical to the SSE there, since the response is the constant 1).
-    An SSE outside the float range raises
-    :class:`~latreg.errors.NonFiniteResultError`, as ``FitResult.sse``
-    does.
+    ``"residuals"`` (response minus prediction on each row of ``data``),
+    ``"sse"``, which is ``fit_result.sse``, and for non-response fits
+    additionally ``"system_error"``, the error in the system
+    sum(1 - sum_j c_j reg_j)^2, the same value since the response is the
+    constant 1.  The residuals are float arithmetic on the rounded
+    coefficients; one that overflows raises
+    :class:`~latreg.errors.NonFiniteResultError`, as an SSE outside the
+    float range does, so a report never holds nan or an infinity.
     """
     spec = fit_result.spec
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = data.evaluate(spec.response) - fit_result.predict(data)
-        squares = (residuals * residuals).tolist()
-    try:
-        sse = math.fsum(squares)
-    except OverflowError:
-        sse = math.inf
-    if not math.isfinite(sse):
+    if not np.isfinite(residuals).all():
         raise NonFiniteResultError(
-            f"SSE of {spec.label!r} is outside the float range")
-    report: dict = {
-        "model": spec.label,
-        "residuals": residuals.tolist(),
-        "sse": sse,
-    }
+            f"a residual of {spec.label!r} overflows the float range")
+    report: dict = {"model": spec.label, "residuals": residuals.tolist(),
+                    "sse": fit_result.sse}
     if spec.is_non_response:
-        # The response is the constant 1, so each residual is 1 - prediction.
         report["system_error"] = report["sse"]
     return report

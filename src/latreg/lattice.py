@@ -658,12 +658,11 @@ def measure_catalog(source: Dataset | Lattice,
         raise ValueError("measure catalog requires 2 or 3 columns")
     if len(set(columns)) != len(columns):
         raise ValueError("measure catalog columns must be distinct")
-    axes = [UNITY, *map(Direction, columns)]
+    axes = (UNITY, *map(Direction, columns))
     m, exps = lattice_over(source, axes).matrix(axes)
-    labels = tuple(d.label for d in axes)
-    keys, cells, kinds = _catalog(labels)
-    values = [rounded(m[i][j], exps[i] + exps[j], "vertex V({}, {})", labels[i],
-                      labels[j]) for i, j in cells]
+    keys, cells, kinds = _catalog(axes)
+    values = [rounded(m[i][j], exps[i] + exps[j], "vertex V({0.label}, {1.label})",
+                      axes[i], axes[j]) for i, j in cells]
     dets = [(key, minor(m, rows, cols), sum(map(exps.__getitem__, rows + cols)),
              len(rows)) for key, rows, cols in kinds]
     values += [rounded(det, exp, "determinant delta_{}", key)
@@ -674,18 +673,23 @@ def measure_catalog(source: Dataset | Lattice,
 
 
 @functools.lru_cache(maxsize=256)
-def _catalog(labels):
-    """The catalog's keys over axes ``labels`` (unity first), each vertex's
-    place (i, j) in G, and each determinant's key, rows and columns in G:
+def _catalog(axes):
+    """The catalog's keys over ``axes`` (unity first), each vertex's place
+    (i, j) in G, and each determinant's key, rows and columns in G:
     variance, covariance, internal covariance, base variance, form1."""
-    cols = range(1, len(labels))
+    cols = axes[1:]
     pairs = list(itertools.combinations(cols, 2))
-    kinds = [(0, 0, a, a) for a in cols] + [(0, 0, a, b) for a, b in pairs]
-    kinds += [kind for a, b in pairs for kind in ((0, b, a, a), (0, a, b, b))]
-    kinds += [(a, a, b, b) for a, b in pairs] + [(1, 1, 2, 2, 3, 3)] * (len(cols) == 3)
-    cells = list(itertools.combinations_with_replacement(range(len(labels)), 2))
-    kinds = [("".join(map(labels.__getitem__, s)), s[0::2], s[1::2]) for s in kinds]
-    keys = ([f"v_{labels[i]}{labels[j]}" for i, j in cells]
+    internal = DeterminantKind.internal_covariance
+    kinds = ([DeterminantKind.variance(a) for a in cols]
+             + [DeterminantKind.covariance(a, b) for a, b in pairs]
+             + [kind for a, b in pairs for kind in (internal(b, a), internal(a, b))]
+             + [DeterminantKind.base_variance(a, b) for a, b in pairs])
+    if len(cols) == 3:
+        kinds.append(DeterminantKind.form1(*cols))
+    at = [tuple(map(axes.index, kind.subscripts)) for kind in kinds]
+    kinds = [(_label(kind.subscripts), i[0::2], i[1::2]) for kind, i in zip(kinds, at)]
+    cells = list(itertools.combinations_with_replacement(range(len(axes)), 2))
+    keys = ([f"v_{axes[i].label}{axes[j].label}" for i, j in cells]
             + [f"delta_{key}" for key, _, _ in kinds]
             + [f"sigma_{key}" for key, rows, _ in kinds if len(rows) == 2])
     for i, key in enumerate(keys):

@@ -137,7 +137,8 @@ class ExactData:
 
     def sse(self, response, regressors, coefficients) -> Fraction:
         """Exact sum over rows of the squared residuals of the given
-        float coefficients."""
+        coefficients, floats or Fractions; at :meth:`solve`'s it is the
+        least squares minimum."""
         columns = [self.column(d) for d in regressors]
         weights = [Fraction(c) for c in coefficients]
         return sum((r - sum(w * col[i] for w, col in zip(weights, columns))) ** 2

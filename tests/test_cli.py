@@ -704,8 +704,8 @@ rotations:
 """ + D1_MEASURES_TEXT),
     "fit-interaction": (("fit", "--model", "1 = x + y + x*y"), "d1", """\
 rotations:
-  response  coefficients                                                    denominator  numerators        sse                    flag
-  1         -0.14285714285714285, 0.7142857142857143, -0.14285714285714285  49.0         -7.0, 35.0, -7.0  6.471124613141112e-32  well-posed
+  response  coefficients                                                    denominator  numerators        sse  flag
+  1         -0.14285714285714285, 0.7142857142857143, -0.14285714285714285  49.0         -7.0, 35.0, -7.0  0.0  well-posed
 """ + D1_MEASURES_TEXT),
     # x enters only as x*x, so there is no catalog and no measures block.
     "fit-no-catalog": (("fit", "--model", "y = 1 + x*x"), "d1", """\

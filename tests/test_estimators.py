@@ -270,10 +270,25 @@ class TestSharedLattice:
                 result = solve(lat, model)
                 assert_same_fit(result, fit(data, model), data)
                 exact = ExactData({c: data.column(c) for c in data.names})
+                regs = [d.factors for d in model.regressors]
                 assert result.sse == rounded(exact.sse(
-                    model.response.factors,
-                    [d.factors for d in model.regressors],
-                    result.coefficients))
+                    model.response.factors, regs,
+                    exact.solve(model.response.factors, regs)))
+
+    def test_sse_is_the_exact_minimum_rounded_once(self, d1):
+        # 1 = x + y + x*y fits d1 exactly; its SSE is 0, not the SSE of
+        # the rounded coefficients.
+        assert fit(d1, spec(UNITY, X, Y, X * Y)).sse == 0.0
+        rng = np.random.default_rng(59)
+        dirs = [UNITY, X, Y, Z]
+        for _ in range(20):
+            data = random_dataset(rng, n_columns=3)
+            exact = ExactData({c: data.column(c) for c in data.names})
+            for rotation in fit_all_rotations(data, dirs):
+                resp = rotation.response.factors
+                regs = [d.factors for d in dirs if d != rotation.response]
+                assert rotation.fit.sse == rounded(
+                    exact.sse(resp, regs, exact.solve(resp, regs)))
 
     def test_rotations_and_catalog_match_dataset(self):
         rng = np.random.default_rng(47)
@@ -383,6 +398,17 @@ class TestResidualReport:
             result.sse
         assert str(info.value) == message
 
+    def test_residual_outside_float_range_raises(self):
+        # An exact fit, so the SSE is 0, but the prediction at x = 2,
+        # -1.7e308 + 2 * 1.7e308, overflows in float arithmetic.
+        data = Dataset({"x": [0.0, 1.0, 2.0], "y": [-1.7e308, 0.0, 1.7e308]})
+        result = fit(data, spec(Y, UNITY, X))
+        assert result.sse == 0.0
+        with pytest.raises(NonFiniteResultError) as info:
+            residual_report(result, data)
+        assert str(info.value) == (
+            "a residual of 'y = 1 + x' overflows the float range")
+
     def test_matches_per_row_sums(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
@@ -390,15 +416,8 @@ class TestResidualReport:
             for model in SHARED_SPECS:
                 result = fit(data, model)
                 report = residual_report(result, data)
-                preds = result.predict(data)
-                residuals = data.evaluate(model.response) - preds
+                residuals = data.evaluate(model.response) - result.predict(data)
                 assert report["residuals"] == [float(r) for r in residuals]
-                assert report["sse"] == math.fsum(r * r for r in residuals)
+                assert report["sse"] == result.sse
                 if model.is_non_response:
-                    # (1 - p) ** 2 goes through pow(), which need not
-                    # round like r * r; the sums agree to a few ulps.
-                    assert report["system_error"] == report["sse"]
-                    assert math.isclose(
-                        report["system_error"],
-                        math.fsum((1.0 - p) ** 2 for p in preds),
-                        rel_tol=4 * 2.0 ** -52)
+                    assert report["system_error"] == result.sse

@@ -300,11 +300,11 @@ class TestPipeline:
     def test_sse(self, large, large_exact):
         lat = build_lattice(large, [UNITY, X, Y, Z])
         for spec in (ModelSpec(Y, (UNITY, X, Z)), ModelSpec(UNITY, (X, Y, Z))):
-            result = solve(lat, spec)
-            exact = large_exact.sse(spec.response.factors,
-                                    [d.factors for d in spec.regressors],
-                                    result.coefficients)
-            assert same_bits(result.sse, rounded(exact))
+            regs = [d.factors for d in spec.regressors]
+            exact = large_exact.sse(
+                spec.response.factors, regs,
+                large_exact.solve(spec.response.factors, regs))
+            assert same_bits(solve(lat, spec).sse, rounded(exact))
 
     @pytest.mark.parametrize("vertex, target", [
         ((UNITY, UNITY), X), ((UNITY, X), X), ((UNITY, Z), Y), ((X, Z), Y)])
@@ -436,10 +436,9 @@ def assert_lattice_exact(x, y):
             assert result.coefficients == tuple(map(rounded, coefficients))
             assert all(map(same_bits, result.coefficients,
                            map(rounded, coefficients)))
-            assert_value(lambda: result.sse,
-                         exact.sse(spec.response.factors, regs,
-                                   result.coefficients),
-                         f"SSE of {spec.label!r}")
+        assert_value(lambda: result.sse,
+                     exact.sse(spec.response.factors, regs, coefficients),
+                     f"SSE of {spec.label!r}")
 
     for req in MEANS:
         a, b = (d.factors for d in req.vertex)
