@@ -296,13 +296,7 @@ def _fold(directions: Sequence[Direction], source: Sequence[str],
     read, in the source's order) and at most ``_BLOCK_ROWS`` columns,
     that together hold every data row once.  No block raises
     :class:`EmptyDataError`."""
-    keyed = {d.factors: d for d in directions}
-    if not keyed:
-        raise ValueError("directions must be non-empty")
-    if () not in keyed:
-        raise ValueError("directions must include unity")
-
-    rows, width, factors = _plan(tuple(keyed), tuple(source))
+    keyed, (rows, width, factors) = _checked(directions, source)
     pairs = _pairs(len(keyed))
     total = None
     for block in blocks(rows, width):
@@ -311,6 +305,19 @@ def _fold(directions: Sequence[Direction], source: Sequence[str],
     if total is None:
         raise EmptyDataError("dataset has no rows")
     return _of_pairs(keyed.values(), total, pairs)
+
+
+def _checked(directions: Sequence[Direction], source: Sequence[str]):
+    """``directions`` by their factors, and the :func:`_plan` of the
+    columns they read in a source with columns ``source``.  Raises
+    ``ValueError`` unless they are non-empty and include unity, and
+    :class:`ColumnNotFoundError` as :func:`_plan` does."""
+    keyed = {d.factors: d for d in directions}
+    if not keyed:
+        raise ValueError("directions must be non-empty")
+    if () not in keyed:
+        raise ValueError("directions must include unity")
+    return keyed, _plan(tuple(keyed), tuple(source))
 
 
 def _add(total, part, pairs):

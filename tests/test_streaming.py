@@ -6,8 +6,9 @@ first.  These tests hold the two to the same exact vertices and the same
 errors, hold the fold to the same exact vertices over any split of the
 rows into blocks, check that memory stays flat in the number of rows,
 and check that no CLI command builds a Dataset.  A large file is read
-as byte ranges by forked workers; those tests hold it to the serial
-read's exact lattice and errors, and check that no worker outlives it.
+as two byte ranges, one by a forked worker; those tests hold it to the
+serial read's exact lattice and errors, and check that no worker
+outlives it.
 """
 
 import io
@@ -246,14 +247,12 @@ SPLIT_DIRECTIONS = [UNITY, Direction("x"), Direction("y"), Direction("x", "y")]
 
 
 @contextmanager
-def usable_cpus(count, chunk_chars=4, most=None):
-    """``count`` usable CPUs, up to ``most`` ranges (``count`` if None) and
-    chunks of ``chunk_chars`` characters, so that a file of a few hundred
-    bytes splits into up to ``count`` ranges; yields spies on the workers
-    forked and on serial reads."""
+def usable_cpus(count, chunk_chars=4):
+    """``count`` usable CPUs and chunks of ``chunk_chars`` characters, so
+    that a file of a few hundred bytes splits into two ranges; yields
+    spies on the workers forked and on serial reads."""
     with mock.patch.object(dataio.os, "sched_getaffinity",
                            return_value=set(range(count))), \
-            mock.patch.object(dataio, "_MAX_RANGES", most or count), \
             mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars), \
             mock.patch.object(dataio, "_fork", wraps=dataio._fork) as fork, \
             mock.patch.object(dataio, "_blocks", wraps=dataio._blocks) as serial:
@@ -266,9 +265,9 @@ def serial_outcome(raw, names, directions):
         lambda: read_lattice(io.BytesIO(raw), names, directions))
 
 
-def cuts_of(path):
+def cut_of(path):
     with open(path, "rb") as file:
-        return dataio._cuts(file.fileno())
+        return dataio._cut(file.fileno())
 
 
 @st.composite
@@ -313,37 +312,39 @@ class TestSplitRead:
                 out.write(raw)
             with usable_cpus(cpus) as (fork, serial):
                 expected = serial_outcome(raw, names, directions)
-                cuts = cuts_of(path)
+                cut = cut_of(path)
                 serial.reset_mock()
                 assert lattice_outcome(
                     lambda: read_lattice(path, names, directions)) == expected
         if newline != "mix":
-            assert cuts and len(cuts) == cpus + 1
-        ranges = len(cuts) - 1 if cuts else 1
-        assert fork.call_count == ranges - 1
+            assert cut is not None
+        # However many CPUs are usable, one worker reads the second range.
+        assert fork.call_count == (cut is not None)
         # A serial read follows only an unsplit file or a failed range, and
         # every range fails when the text column t is read as numbers.
-        assert serial.call_count == (ranges == 1 or "t" in names)
+        assert serial.call_count == (cut is None or "t" in names)
 
     def test_ranges_of_blank_lines_only(self, tmp_path):
-        # The middle ranges hold only blank lines; "data section is
-        # empty" is a verdict on the whole file, never on one range.
-        raw = b"x,y\n1.5,2\n" + b"\n" * 3000 + b"-3,4.25e-310\n"
+        # One range holds only blank lines; "data section is empty" is a
+        # verdict on the whole file, never on one range.
+        rows = b"1.5,2\n-3,4.25e-310\n"
         path = tmp_path / "blank.csv"
-        path.write_bytes(raw)
-        with usable_cpus(4) as (fork, serial):
-            expected = serial_outcome(raw, ("x", "y"), SPLIT_DIRECTIONS)
-            serial.reset_mock()
-            assert lattice_outcome(lambda: read_lattice(
-                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
-        assert fork.call_count == 3 and serial.call_count == 0
-        assert expected[0][(), ()] == 2
+        for raw in (b"x,y\n" + rows + b"\n" * 3000,
+                    b"x,y\n" + b"\n" * 3000 + rows):
+            path.write_bytes(raw)
+            with usable_cpus(4) as (fork, serial):
+                expected = serial_outcome(raw, ("x", "y"), SPLIT_DIRECTIONS)
+                serial.reset_mock()
+                assert lattice_outcome(lambda: read_lattice(
+                    path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+            assert fork.call_count == 1 and serial.call_count == 0
+            assert expected[0][(), ()] == 2
 
         path.write_bytes(b"x,y\n" + b"\r\n" * 3000)
         with usable_cpus(4) as (fork, serial), \
                 pytest.raises(CsvFormatError, match="^data section is empty$"):
             read_lattice(path, ("x", "y"), SPLIT_DIRECTIONS)
-        assert fork.call_count == 3 and serial.call_count == 1
+        assert fork.call_count == 1 and serial.call_count == 1
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     @pytest.mark.parametrize("where", ["first", "last"])
@@ -361,7 +362,7 @@ class TestSplitRead:
             assert lattice_outcome(lambda: read_lattice(
                 path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
         assert expected[2] == at + 1
-        assert fork.call_count == cpus - 1 and serial.call_count == 1
+        assert fork.call_count == 1 and serial.call_count == 1
 
     def test_bom_after_a_cut_is_a_bad_cell(self, tmp_path):
         # U+FEFF is a BOM only at the start of the file.  At the start of a
@@ -371,7 +372,7 @@ class TestSplitRead:
         path = tmp_path / "bom.csv"
         path.write_bytes(("x,y\n" + "\n".join(rows) + "\n").encode())
         with usable_cpus(2):
-            cut = cuts_of(path)[1]
+            cut = cut_of(path)
         raw = bytearray(path.read_bytes())
         raw[cut:cut + 3] = "\ufeff".encode()
         path.write_bytes(raw)
@@ -391,7 +392,7 @@ class TestSplitRead:
         path = tmp_path / "bad.csv"
         path.write_bytes(("x,y\n" + "\n".join(rows) + "\n").encode())
         with usable_cpus(2):
-            cut = cuts_of(path)[1]
+            cut = cut_of(path)
         raw = bytearray(path.read_bytes())
         before = raw.rindex(b"\n", 0, cut - 1) + 1
         raw[before:before + 3] = b"bad"
@@ -416,7 +417,7 @@ class TestSplitRead:
                 pytest.raises(CsvFormatError) as info:
             read_lattice(path, ("x", "y"), SPLIT_DIRECTIONS)
         assert (info.value.row, info.value.column) == (6, "x")
-        assert fork.call_count == 2 and time.monotonic() - start < 30
+        assert fork.call_count == 1 and time.monotonic() - start < 30
 
     def test_a_worker_that_dies_is_read_serially(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -431,6 +432,56 @@ class TestSplitRead:
             assert lattice_outcome(lambda: read_lattice(
                 path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
         assert fork.call_count == 1 and serial.call_count == 1
+
+    @pytest.mark.parametrize("where", ["header", "middle", "last"])
+    def test_quoted_file_is_read_serially(self, tmp_path, where):
+        # A " only in the header, in a multi-line field of the unselected
+        # column t that spans the middle of the file, or in the last line
+        # sends the file to the serial read before any worker is forked.
+        rows = [f"{i / 7!r},t{i},{-i!r}" for i in range(400)]
+        header = '"x","t","y"' if where == "header" else "x,t,y"
+        if where == "middle":
+            rows.insert(200, '1.5,"' + "two\nlines " * 40 + '",-2')
+        elif where == "last":
+            rows.append('0.25,"t",4')
+        raw = "\n".join([header, *rows, ""]).encode()
+        if where == "middle":
+            assert raw.index(b'"') < len(raw) // 2 < raw.rindex(b'"')
+        else:
+            assert raw.count(b'"') == (6 if where == "header" else 2)
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(raw)
+        names = ("y", "x")
+        with usable_cpus(2) as (fork, serial):
+            expected = serial_outcome(raw, names, SPLIT_DIRECTIONS)
+            serial.reset_mock()
+            assert cut_of(path) is None
+            assert lattice_outcome(lambda: read_lattice(
+                path, names, SPLIT_DIRECTIONS)) == expected
+        assert expected[0][(), ()] == 400 + (where != "header")
+        assert fork.call_count == 0 and serial.call_count == 1
+
+    @pytest.mark.parametrize("directions", [
+        [Direction("x"), Direction("y")], [UNITY, Direction("q")], []],
+        ids=["no-unity", "unknown-column", "empty"])
+    def test_bad_directions_before_the_header(self, tmp_path, directions):
+        # Directions are checked before the header is read or a worker is
+        # forked, and fail as in a stream read.
+        path = tmp_path / "data.csv"
+        write_rows(path, 400)
+
+        def error(source):
+            with pytest.raises(ValueError) as info:
+                read_lattice(source, ("x", "y"), directions)
+            return type(info.value), str(info.value)
+
+        with usable_cpus(2) as (fork, _), \
+                mock.patch.object(dataio, "_header",
+                                  wraps=dataio._header) as header:
+            assert cut_of(path) is not None
+            from_path = error(path)
+            assert header.call_count == fork.call_count == 0
+            assert from_path == error(io.BytesIO(path.read_bytes()))
 
     def test_serial_cases_stay_serial(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -447,7 +498,7 @@ class TestSplitRead:
                 read_lattice(source, names, SPLIT_DIRECTIONS)
             return fork.call_count, serial.call_count
 
-        assert reads(path) == (3, 0)
+        assert reads(path) == (1, 0)
         assert reads(quoted) == (0, 1)
         with open(path, "rb") as stream:
             assert reads(stream) == (0, 1)
@@ -472,14 +523,19 @@ class TestSplitRead:
             done.set()
             thread.join()
 
-    def test_ranges_are_capped(self, tmp_path):
+    def test_more_cpus_than_ranges(self, tmp_path):
+        # Eight usable CPUs still make two ranges, cut at the first line
+        # end at or past the middle, and one worker.
         path = tmp_path / "data.csv"
         write_rows(path, 400)
-        with usable_cpus(8, most=dataio._MAX_RANGES) as (fork, serial):
-            read_lattice(path, ("x", "y"), SPLIT_DIRECTIONS)
-            assert len(cuts_of(path)) == dataio._MAX_RANGES + 1
-        assert fork.call_count == dataio._MAX_RANGES - 1
-        assert serial.call_count == 0
+        raw = path.read_bytes()
+        with usable_cpus(8) as (fork, serial):
+            expected = serial_outcome(raw, ("x", "y"), SPLIT_DIRECTIONS)
+            serial.reset_mock()
+            assert lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+            assert cut_of(path) == raw.index(b"\n", len(raw) // 2) + 1
+        assert fork.call_count == 1 and serial.call_count == 0
 
     def test_named_pipe_is_opened_once(self, tmp_path):
         # A named pipe is no regular file, so it is read serially, from its
@@ -552,7 +608,7 @@ class TestSplitRead:
                 monkeypatch.setattr("sys.stdin", stdin)
                 assert main([*argv, "--input", "-"]) == 0
         assert capsys.readouterr().out == from_path
-        assert fork.call_count == 3
+        assert fork.call_count == 1
 
 
 CLI_REQUESTS = [
