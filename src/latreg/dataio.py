@@ -59,10 +59,11 @@ the parent's to reap).  If either range fails, the worker is killed and
 reaped and the file is read again serially, which gives exactly the
 serial message and row: the serial reader decodes ahead of its parse,
 so a byte past the cut that cannot be decoded comes before a bad cell
-just ahead of it.  The worker is reaped on every path.  Python 3.12 and
-later warn, in the parent, when a process with threads (here OpenBLAS's
-pool) forks; that warning is silenced for the fork alone, as explained
-at :func:`_fork`.
+just ahead of it.  A range without data rows fails too; the serial read
+then gives the same lattice, or "data section is empty".  The worker is
+reaped on every path.  Python 3.12 and later warn, in the parent, when
+a process with threads (here OpenBLAS's pool) forks; that warning is
+silenced for the fork alone, as explained at :func:`_fork`.
 
 Every report is one payload in the :data:`REPORT_SCHEMA` layout, which
 :func:`render` serializes to JSON (stable key order, shortest round-trip
@@ -158,12 +159,12 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
     # fragmented, and peak RSS then followed the heap's layout.
     table, end = np.empty((0, len(names))), 0
     with _text(source) as stream:
-        for block, first in _blocks(stream, names):
-            end = first - 1 + len(block)
+        for block in _blocks(stream, names):
+            start, end = end, end + len(block)
             if end > len(table):
                 table.resize((max(2 * len(table), end), len(names)),
                              refcheck=False)
-            table[first - 1:end] = block
+            table[start:end] = block
     table.resize((end, len(names)), refcheck=False)
     return Dataset._of_table(names, table.T)  # its values are checked finite
 
@@ -175,7 +176,8 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
     streaming pass: each chunk of rows is folded into the exact vertices
     as it is parsed, and no row outlives its chunk, so memory stays flat
     in the number of rows.  A large file is read as two byte ranges, on
-    two CPUs, whose exact lattices are added (see the module notes).
+    two CPUs, whose exact lattices are added (see the module notes); where
+    either range fails or holds no rows, it is read serially after all.
 
     ``source`` and ``names`` are as in :func:`read_csv`, which gives the
     same errors; the lattice is the same, exactly.  ``directions`` must
@@ -194,9 +196,7 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
             if lattice is not None:
                 return lattice
         with _text(source) as stream:
-            return lattice_of_rows(
-                (block for block, _ in _blocks(stream, names)), names,
-                directions)
+            return lattice_of_rows(_blocks(stream, names), names, directions)
 
 
 def _read_ranges(fd: int, names: tuple[str, ...],
@@ -204,9 +204,10 @@ def _read_ranges(fd: int, names: tuple[str, ...],
     """The lattice of the file open at ``fd`` read as two byte ranges, the
     first here and the second by a forked worker, or None where the file
     is to be read serially: where :func:`_cut` gives no cut, or where
-    either range fails, so that the serial read gives the error.  The
-    file is read at offsets only, so its position stays at the start for
-    that read."""
+    either range fails, so that the serial read gives the error.  A range
+    without rows fails too; the serial read then gives the same lattice,
+    or "data section is empty".  The file is read at offsets only, so its
+    position stays at the start for that read."""
     cut = _cut(fd)
     if cut is None:
         return None
@@ -217,7 +218,8 @@ def _read_ranges(fd: int, names: tuple[str, ...],
             fields = _header(stream, names)
             worker = _fork(_fold_range, fd, cut, os.fstat(fd).st_size,
                            fields, names, directions)
-            parts = [_partial(_data(stream, *fields, names), names, directions)]
+            first = lattice_of_rows(_data(stream, *fields, names), names,
+                                    directions)
         pid, pipe = worker
         with open(pipe, "rb", closefd=False) as reader:
             payload = reader.read()
@@ -226,8 +228,8 @@ def _read_ranges(fd: int, names: tuple[str, ...],
         os.close(pipe)
         if os.waitstatus_to_exitcode(status):
             return None
-        parts.append(pickle.loads(payload))  # from this module's worker
-    except (CsvFormatError, OSError):  # OSError: a fork the host refused
+    # EmptyDataError: a range without rows; OSError: a fork the host refused
+    except (CsvFormatError, EmptyDataError, OSError):
         return None
     finally:
         # No other code reaps this child: _cut splits only while SIGCHLD
@@ -237,8 +239,7 @@ def _read_ranges(fd: int, names: tuple[str, ...],
             os.close(pipe)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    parts = [part for part in parts if part is not None]
-    return _sum(parts) if parts else None  # no rows: the serial read says so
+    return _sum(first, pickle.loads(payload))  # from this module's worker
 
 
 #: Each byte range holds at least this many chunks (1 MB), so that a
@@ -336,17 +337,8 @@ def _fold_range(fd: int, start: int, end: int, fields: tuple[int, list[int]],
     the start of the file, and elsewhere a cell that is not a decimal."""
     with io.BufferedReader(_Range(fd, start, end)) as raw, \
             _text(raw, "utf-8") as stream:
-        return pickle.dumps(_partial(_data(stream, *fields, names), names,
-                                     directions))
-
-
-def _partial(blocks: Iterator[tuple[np.ndarray, int]], names: tuple[str, ...],
-             directions: Sequence[Direction]) -> Lattice | None:
-    """The lattice of ``blocks``, or None for a range without rows."""
-    try:
-        return lattice_of_rows((block for block, _ in blocks), names, directions)
-    except EmptyDataError:
-        return None
+        return pickle.dumps(lattice_of_rows(_data(stream, *fields, names),
+                                            names, directions))
 
 
 def _selection(names: Sequence[str]) -> tuple[str, ...]:
@@ -381,11 +373,11 @@ def _text(source: str | Path | IO[str] | IO[bytes],
                 f"({err.reason})") from None
 
 
-def _blocks(stream: IO[str],
-            names: tuple[str, ...]) -> Iterator[tuple[np.ndarray, int]]:
+def _blocks(stream: IO[str], names: tuple[str, ...]) -> Iterator[np.ndarray]:
     """The named columns of the data rows after the header, as (r, k)
-    float64 blocks in row order, each with the number of its first data
-    row (from 1).  The header is read with :mod:`csv`."""
+    float64 blocks in row order.  The header is read with :mod:`csv`.  No
+    data rows raise "data section is empty", as when a byte range without
+    rows fails and the file is read serially."""
     if not (yield from _data(stream, *_header(stream, names), names)):
         raise CsvFormatError("data section is empty")
 
@@ -410,9 +402,11 @@ def _header(stream: IO[str], names: tuple[str, ...]) -> tuple[int, list[int]]:
 
 
 def _data(stream: IO[str], n_fields: int, usecols: list[int],
-          names: tuple[str, ...]) -> Iterator[tuple[np.ndarray, int]]:
+          names: tuple[str, ...]) -> Iterator[np.ndarray]:
     """The selected columns of the data lines that make up the rest of
-    ``stream``, as :func:`_blocks` gives them; returns the number of rows."""
+    ``stream``, as (r, k) float64 blocks in row order; returns the number
+    of rows, which may be 0.  A byte range that gives none fails its fold,
+    and the file is then read serially."""
     row = 1
     chunks = _chunks(stream)
     for text in chunks:
@@ -428,7 +422,7 @@ def _data(stream: IO[str], n_fields: int, usecols: list[int],
                                    names, row - 1))
         for block in blocks:
             if len(block):
-                yield block, row
+                yield block
                 row += len(block)
     return row - 1
 

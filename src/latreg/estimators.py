@@ -34,7 +34,7 @@ lattice serves a whole request::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -95,17 +95,19 @@ class FitResult:
     ``denominator`` is the system determinant (the variance determinant
     for an explicit simple line, the base variance for the two-regressor
     implicit model) and ``numerators`` are the column-replaced
-    determinants in regressor order, held as ``(integer, exponent)``.
-    ``sse`` is the least squares minimum, the sum of squared residuals at
-    the exact coefficients: det G / ``denominator``.  Each value is
-    rounded once when first read; one outside the float range raises
+    determinants in regressor order, and ``exact_determinant`` is det G,
+    G the vertex matrix over (response, regressors), each held as
+    ``(integer, exponent)``.  ``sse`` is the least squares minimum, the
+    sum of squared residuals at the exact coefficients: det G /
+    ``denominator``.  Each value is rounded once when first read; one
+    outside the float range raises
     :class:`~latreg.errors.NonFiniteResultError` naming it.
     """
 
     spec: ModelSpec
-    lattice: Lattice = field(repr=False, compare=False)
     exact_denominator: tuple[int, int]
     exact_numerators: tuple[tuple[int, int], ...]
+    exact_determinant: tuple[int, int]
 
     @cached_property
     def denominator(self) -> float:
@@ -126,16 +128,11 @@ class FitResult:
 
     @cached_property
     def sse(self) -> float:
-        """det G / C[0][0], G over (response, regressors), with det G =
-        sum_j G[0][j] C[0][j]: C[0][0] is the denominator and C[0][j] the
-        negated numerators.  Each term carries 2^(2 sum e), and C[0][0]
-        2^(2 sum e - 2 e_0)."""
-        (row, *_), (e0, *_) = self.lattice.matrix(
-            (self.spec.response, *self.spec.regressors))
-        den, _ = self.exact_denominator
-        det = row[0] * den - sum(g * num for g, (num, _) in
-                                 zip(row[1:], self.exact_numerators))
-        return rounded(det, 2 * e0, "SSE of {0.label!r}", self.spec, den=den)
+        """``exact_determinant`` over ``exact_denominator``, rounded once."""
+        (det, det_exp), (den, den_exp) = (self.exact_determinant,
+                                          self.exact_denominator)
+        return rounded(det, det_exp - den_exp, "SSE of {0.label!r}", self.spec,
+                       den=den)
 
     def predict(self, data: Dataset) -> np.ndarray:
         """Fitted values of the response direction on ``data``."""
@@ -152,22 +149,25 @@ def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
     read.  Raises :class:`SingularSystemError` when the exact system
     determinant is 0 (collinear regressors)."""
     g, exps = lat.matrix((spec.response, *spec.regressors))
-    return _cofactor_fit(lat, spec, [cofactor(g, 0, j) for j in range(len(g))],
+    return _cofactor_fit(spec, g[0], [cofactor(g, 0, j) for j in range(len(g))],
                          0, exps)
 
 
-def _cofactor_fit(lat: Lattice, spec: ModelSpec, row: Sequence[int], r: int,
-                  exps: Sequence[int]) -> FitResult:
-    """``spec`` from row r of the cofactor matrix over its directions, the
-    response at r: cofactor (i, j) carries 2^(2 sum(e) - e_i - e_j)."""
+def _cofactor_fit(spec: ModelSpec, g_row: Sequence[int], row: Sequence[int],
+                  r: int, exps: Sequence[int]) -> FitResult:
+    """``spec`` from row r of the vertex matrix G over its directions and
+    row r of its cofactor matrix C, the response at r: G[i][j] carries
+    2^(e_i + e_j) and C[i][j] 2^(2 sum(e) - e_i - e_j), so each term of
+    det G = sum_j G[r][j] C[r][j] carries 2^(2 sum(e))."""
     if row[r] == 0:
         raise SingularSystemError(
             f"singular normal equations for {spec.label!r} (determinant 0.0)",
             determinant=0.0)
     total = 2 * sum(exps) - exps[r]
-    return FitResult(spec, lat, (row[r], total - exps[r]),
+    return FitResult(spec, (row[r], total - exps[r]),
                      tuple((-c, total - e) for j, (c, e) in enumerate(zip(row, exps))
-                           if j != r))
+                           if j != r),
+                     (sum(g * c for g, c in zip(g_row, row)), 2 * sum(exps)))
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
@@ -222,7 +222,7 @@ def fit_all_rotations(source: Dataset | Lattice,
         spec = ModelSpec(response=resp, regressors=tuple(dirs[:r] + dirs[r + 1:]))
         try:
             results.append(RotationResult(
-                response=resp, fit=_cofactor_fit(lat, spec, cof[r], r, exps)))
+                response=resp, fit=_cofactor_fit(spec, g[r], cof[r], r, exps)))
         except SingularSystemError as err:
             results.append(RotationResult(response=resp, error=err))
     return results

@@ -332,19 +332,15 @@ def _add(total, part, pairs):
              for t, v, (i, j) in zip(totals, sums, pairs)], new)
 
 
-def _sum(lattices: Sequence[Lattice]) -> Lattice:
-    """The lattice of the rows of all ``lattices``, each over the same
+def _sum(a: Lattice, b: Lattice) -> Lattice:
+    """The lattice of the rows of ``a`` and ``b``, both over the same
     directions in the same order, exactly: vertices are sums over rows."""
-    first, *rest = lattices
-    pairs = _pairs(len(first.directions))
+    pairs = _pairs(len(a.directions))
 
     def part(lat):
         return [lat._vertices[i][j] for i, j in pairs], lat._exponents
 
-    total = part(first)
-    for lat in rest:
-        total = _add(total, part(lat), pairs)
-    return _of_pairs(first.directions, total, pairs)
+    return _of_pairs(a.directions, _add(part(a), part(b), pairs), pairs)
 
 
 def _of_pairs(directions, total, pairs) -> Lattice:

@@ -365,11 +365,11 @@ class TestOneLatticePerRequest:
     @pytest.fixture
     def reads(self, monkeypatch, builds):
         """(source, argument, inside) for every block of rows parsed from
-        the CSV (argument: its first row) and every Dataset.column and
-        Dataset.evaluate call, ``inside`` telling whether a fold was
-        running."""
+        the CSV (argument: the rows parsed so far, this block's included)
+        and every Dataset.column and Dataset.evaluate call, ``inside``
+        telling whether a fold was running."""
         log = []
-        depth = [0]
+        depth, rows = [0], [0]
         counting = latreg.lattice._fold
 
         def nested(*args, **kwargs):
@@ -383,9 +383,10 @@ class TestOneLatticePerRequest:
         original_blocks = latreg.dataio._blocks
 
         def blocks(*args, **kwargs):
-            for block, first in original_blocks(*args, **kwargs):
-                log.append(("block", first, depth[0] > 0))
-                yield block, first
+            for block in original_blocks(*args, **kwargs):
+                rows[0] += len(block)
+                log.append(("block", rows[0], depth[0] > 0))
+                yield block
 
         monkeypatch.setattr(latreg.dataio, "_blocks", blocks)
         for method in ("column", "evaluate"):
@@ -414,8 +415,8 @@ class TestOneLatticePerRequest:
         assert len(builds) == 1
         assert reads and all(inside for _, _, inside in reads)
         assert {source for source, _, _ in reads} == {"block"}
-        firsts = [first for _, first, _ in reads]
-        assert len(firsts) == len(set(firsts))
+        ends = [end for _, end, _ in reads]
+        assert len(ends) == len(set(ends))
 
 
 class TestSimulate:

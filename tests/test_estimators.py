@@ -290,6 +290,16 @@ class TestSharedLattice:
                 assert rotation.fit.sse == rounded(
                     exact.sse(resp, regs, exact.solve(resp, regs)))
 
+    def test_fits_of_different_sse_are_unequal(self):
+        # Both lines have coefficients (0, 1); only the residuals differ.
+        x = [0.0, 1.0, 2.0]
+        line = spec(Y, UNITY, X)
+        a = fit(Dataset({"x": x, "y": [0.0, 1.0, 2.0]}), line)
+        b = fit(Dataset({"x": x, "y": [1.0, -1.0, 3.0]}), line)
+        assert a.coefficients == b.coefficients == (0.0, 1.0)
+        assert (a.sse, b.sse) == (0.0, 6.0)
+        assert a != b and len({a, b}) == 2
+
     def test_rotations_and_catalog_match_dataset(self):
         rng = np.random.default_rng(47)
         for _ in range(50):

@@ -193,9 +193,8 @@ class TestReadersAgree:
         with mock.patch.object(dataio, "_CELL_ROWS", 64):
             stream = io.StringIO(text, newline="")
             blocks = list(dataio._blocks(stream, ("y", "x")))
-        assert [len(block) for block, _ in blocks] == [64] * 15 + [40]
-        assert [first for _, first in blocks] == list(range(1, 1001, 64))
-        table = np.concatenate([block for block, _ in blocks])
+        assert [len(block) for block in blocks] == [64] * 15 + [40]
+        table = np.concatenate(blocks)
         assert table[:, 1].tolist() == [float(i) for i in range(1000)]
         assert table[:, 0].tolist() == [i / 3 for i in range(1000)]
 
@@ -325,8 +324,10 @@ class TestSplitRead:
         assert serial.call_count == (cut is None or "t" in names)
 
     def test_ranges_of_blank_lines_only(self, tmp_path):
-        # One range holds only blank lines; "data section is empty" is a
-        # verdict on the whole file, never on one range.
+        # One range holds only blank lines.  That range fails like any
+        # other, so the file is read again serially, which gives the same
+        # lattice; "data section is empty" is a verdict on the whole file,
+        # never on one range.
         rows = b"1.5,2\n-3,4.25e-310\n"
         path = tmp_path / "blank.csv"
         for raw in (b"x,y\n" + rows + b"\n" * 3000,
@@ -337,7 +338,7 @@ class TestSplitRead:
                 serial.reset_mock()
                 assert lattice_outcome(lambda: read_lattice(
                     path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
-            assert fork.call_count == 1 and serial.call_count == 0
+            assert fork.call_count == 1 and serial.call_count == 1
             assert expected[0][(), ()] == 2
 
         path.write_bytes(b"x,y\n" + b"\r\n" * 3000)
