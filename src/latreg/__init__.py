@@ -21,65 +21,21 @@ dataio
     CSV ingestion and report serialization (text and JSON).
 cli
     The ``latreg`` command-line front end.
+
+Each library module's ``__all__`` declares its public names; the package
+root re-exports all of them.
 """
 
-from .dataio import (REPORT_SCHEMA, read_csv, read_lattice, render, write_csv,
-                     write_report)
-from .errors import (ColumnNotFoundError, CsvFormatError, EmptyDataError,
-                     FormulaError, LatregError, MissingVertexError,
-                     NonFiniteResultError, SingularSystemError,
-                     ZeroWeightError)
-from .estimators import (FitResult, ModelSpec, RotationResult, fit,
-                         fit_all_rotations, residual_report, solve)
-from .formula import parse_model
-from .lattice import (Dataset, DeterminantKind, Direction, Lattice, UNITY,
-                      build_lattice, det2, det3_general, form_determinant,
-                      join, measure_catalog, scaled_sigma)
-from .means import (MeanRequest, mean_operator, self_weighting_mean,
-                    simulate_convergence, standard_mean, weighted_mean)
+from .dataio import *
+from .errors import *
+from .estimators import *
+from .formula import *
+from .lattice import *
+from .means import *
+from . import dataio, errors, estimators, formula, lattice, means
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ColumnNotFoundError",
-    "CsvFormatError",
-    "Dataset",
-    "DeterminantKind",
-    "Direction",
-    "EmptyDataError",
-    "FitResult",
-    "FormulaError",
-    "Lattice",
-    "LatregError",
-    "MeanRequest",
-    "MissingVertexError",
-    "ModelSpec",
-    "NonFiniteResultError",
-    "REPORT_SCHEMA",
-    "RotationResult",
-    "SingularSystemError",
-    "UNITY",
-    "ZeroWeightError",
-    "build_lattice",
-    "det2",
-    "det3_general",
-    "fit",
-    "fit_all_rotations",
-    "form_determinant",
-    "join",
-    "mean_operator",
-    "measure_catalog",
-    "parse_model",
-    "read_csv",
-    "read_lattice",
-    "render",
-    "residual_report",
-    "scaled_sigma",
-    "self_weighting_mean",
-    "simulate_convergence",
-    "solve",
-    "standard_mean",
-    "weighted_mean",
-    "write_csv",
-    "write_report",
-]
+__all__ = sorted({name for module in (dataio, errors, estimators, formula,
+                                      lattice, means)
+                  for name in module.__all__})

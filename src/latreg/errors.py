@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LatregError",
+    "ColumnNotFoundError",
+    "EmptyDataError",
+    "MissingVertexError",
+    "ZeroWeightError",
+    "NonFiniteResultError",
+    "SingularSystemError",
+    "CsvFormatError",
+    "FormulaError",
+]
+
 
 class LatregError(ValueError):
     """Base class for all errors raised by this package."""

@@ -551,7 +551,7 @@ def det3_general(lat: Lattice, rows: Sequence[Direction],
     if len(rows) != 3 or len(cols) != 3:
         raise ValueError("det3_general takes exactly 3 row and 3 column directions")
     return form_determinant(lat, DeterminantKind(
-        "general3", tuple(d for pair in zip(rows, cols) for d in pair)))
+        tuple(d for pair in zip(rows, cols) for d in pair)))
 
 
 @dataclass(frozen=True)
@@ -563,46 +563,45 @@ class DeterminantKind:
     ``(r0, c0, r1, c1, r2, c2)`` for a 3x3 one, so the determinant is
     that of M[i][j] = V(subscripts[2i], subscripts[2j + 1]).  The paper's
     names are these subscripts: variance(x) is delta_11xx with
-    subscripts (1, 1, x, x).  ``tag`` only names the kind.  Use the
-    classmethod constructors.
+    subscripts (1, 1, x, x), as is general2(1, 1, x, x): equal subscripts
+    are the same kind.  Use the classmethod constructors.
     """
 
-    tag: str
     subscripts: tuple[Direction, ...]
 
     @classmethod
     def variance(cls, a: Direction) -> "DeterminantKind":
         """n sum(a^2) - sum(a)^2, i.e. n^2 times the population variance."""
-        return cls("variance", (UNITY, UNITY, a, a))
+        return cls((UNITY, UNITY, a, a))
 
     @classmethod
     def covariance(cls, a: Direction, b: Direction) -> "DeterminantKind":
         """n sum(ab) - sum(a) sum(b), i.e. n^2 times the population covariance."""
-        return cls("covariance", (UNITY, UNITY, a, b))
+        return cls((UNITY, UNITY, a, b))
 
     @classmethod
     def internal_covariance(cls, a: Direction, b: Direction) -> "DeterminantKind":
         """sum(a) sum(b^2) - sum(b) sum(ab): the level-one/level-two mixed
         determinant with subscripts (1, a, b, b)."""
-        return cls("internal_covariance", (UNITY, a, b, b))
+        return cls((UNITY, a, b, b))
 
     @classmethod
     def base_variance(cls, a: Direction, b: Direction) -> "DeterminantKind":
         """sum(a^2) sum(b^2) - sum(ab)^2: the level-two determinant that is
         the denominator of non-response estimates."""
-        return cls("base_variance", (a, a, b, b))
+        return cls((a, a, b, b))
 
     @classmethod
     def general2(cls, a: Direction, b: Direction,
                  c: Direction, d: Direction) -> "DeterminantKind":
         """Arbitrary four-subscript determinant V(a,b)V(c,d) - V(a,d)V(c,b)."""
-        return cls("general2", (a, b, c, d))
+        return cls((a, b, c, d))
 
     @classmethod
     def form1(cls, a: Direction, b: Direction, c: Direction) -> "DeterminantKind":
         """Symmetric 3x3 determinant with rows = cols = (a, b, c): the
         denominator of a three-regressor system."""
-        return cls("form1", (a, a, b, b, c, c))
+        return cls((a, a, b, b, c, c))
 
     @classmethod
     def form2(cls, a: Direction, b: Direction, c: Direction,
@@ -610,7 +609,7 @@ class DeterminantKind:
         """form1(a, b, c) with the first column direction replaced by d:
         the numerator determinant of a three-regressor system.  Reduces to
         form1 when d = a."""
-        return cls("form2", (a, d, b, b, c, c))
+        return cls((a, d, b, b, c, c))
 
 
 def form_determinant(lat: Lattice, kind: DeterminantKind) -> float:
@@ -626,11 +625,11 @@ def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
     """Determinant divided by n^2 = V(1, 1)^2 (population-style), exactly,
     rounded once.  Only for the 2x2 kinds, whose named members carry
     exactly that n^2 over the plain moment."""
+    label = _label(kind.subscripts)
     if len(kind.subscripts) != 4:
-        raise ValueError(f"no sigma scaling for determinant kind {kind.tag!r}")
+        raise ValueError(f"no sigma scaling for determinant delta_{label}")
     n = lat.exact(UNITY, UNITY)
-    return rounded(*_kind_det(lat, kind), "sigma_{}", _label(kind.subscripts),
-                   den=n * n)
+    return rounded(*_kind_det(lat, kind), "sigma_{}", label, den=n * n)
 
 
 def _kind_det(lat: Lattice, kind: DeterminantKind) -> tuple[int, int]:

@@ -258,6 +258,17 @@ class TestDet3:
             det3_general(lat, (X, Y), (X, Y, Z))
 
 
+class TestDeterminantKind:
+    def test_equal_subscripts_are_one_kind(self):
+        variance = DeterminantKind.variance(X)
+        general = DeterminantKind.general2(UNITY, UNITY, X, X)
+        assert variance == general
+        assert hash(variance) == hash(general)
+        assert len({DeterminantKind.form1(X, Y, Z),
+                    DeterminantKind.form2(X, Y, Z, X)}) == 1
+        assert DeterminantKind.covariance(X, Y) != DeterminantKind.covariance(Y, X)
+
+
 class TestFormDeterminants:
     def test_form1_fixture(self, d2):
         lat = lattice_for(d2, X, Y, Z)
@@ -297,7 +308,7 @@ class TestFormDeterminants:
     def test_unknown_kind_rejected(self, d1):
         lat = lattice_for(d1, X, Y)
         with pytest.raises(ValueError):
-            form_determinant(lat, DeterminantKind("bogus", (X,)))
+            form_determinant(lat, DeterminantKind((X,)))
 
 
 class TestScaledSigma:
@@ -322,7 +333,7 @@ class TestScaledSigma:
 
     def test_rejects_form_kinds(self, d2):
         lat = lattice_for(d2, X, Y, Z)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="determinant delta_xxyyzz$"):
             scaled_sigma(lat, DeterminantKind.form1(X, Y, Z))
 
     def test_n_is_read_from_the_lattice(self):
@@ -383,7 +394,7 @@ class TestMeasureCatalog:
             label = key[len("delta_"):]
             subscripts = tuple(UNITY if s == "1" else Direction(s)
                                for s in label)
-            kind = DeterminantKind(key, subscripts)
+            kind = DeterminantKind(subscripts)
             assert catalog[key] == form_determinant(lat, kind)
             if len(subscripts) == 4:
                 assert catalog["sigma_" + label] == scaled_sigma(lat, kind)
