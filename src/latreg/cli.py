@@ -161,26 +161,14 @@ def _cmd_means(args) -> int:
     return EXIT_OK
 
 
-def _model_columns(spec) -> list[str]:
-    columns: list[str] = []
-    for direction in (spec.response, *spec.regressors):
-        for factor in direction.factors:
-            if factor not in columns:
-                columns.append(factor)
-    return columns
-
-
 def _cmd_fit(args) -> int:
     spec = parse_model(args.model)
-    columns = _model_columns(spec)
-    if not columns:
-        raise ValueError("model references no data columns")
-    plain = [c for c in columns
-             if any(d.factors == (c,) for d in (spec.response, *spec.regressors))]
-    catalog = [Direction(c) for c in plain] if len(plain) in (2, 3) else []
-    lat = _load(args, columns, [UNITY, *spec.regressors, spec.response, *catalog])
+    directions = [UNITY, spec.response, *spec.regressors]
+    columns = list(dict.fromkeys(f for d in directions for f in d.factors))
+    plain = [c for c in columns if Direction(c) in directions]
+    lat = _load(args, columns, directions)
     result = solve(lat, spec)
-    measures = measure_catalog(lat, plain) if catalog else {}
+    measures = measure_catalog(lat, plain) if len(plain) in (2, 3) else {}
     rotation = RotationResult(response=spec.response, fit=result)
     _emit(write_report([rotation], measures, format=args.format))
     return EXIT_OK

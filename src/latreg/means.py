@@ -128,7 +128,18 @@ def simulate_convergence(seed: int, n: int, mu: float, sigma: float,
         "sigma": float(sigma),
         "trials": int(trials),
         "random_weight_dev_max": max(random_devs),
-        "random_weight_dev_mean": math.fsum(random_devs) / trials,
+        "random_weight_dev_mean": _mean(random_devs),
         "self_weight_dev_max": max(self_devs),
-        "self_weight_dev_mean": math.fsum(self_devs) / trials,
+        "self_weight_dev_mean": _mean(self_devs),
     }
+
+
+def _mean(values: list[float]) -> float:
+    """The exact mean of ``values``, rounded once: finite however far
+    their sum leaves the float range, and not finite if a value is not."""
+    if not all(map(math.isfinite, values)):
+        return sum(values)
+    # Each float is n / d, d a power of two, so the largest d divides all.
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(n * (den // d) for n, d in ratios) / (den * len(values))

@@ -10,12 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import latreg.__main__
 import latreg.cli
 import latreg.dataio
 import latreg.lattice
+import latreg.means
 from latreg import REPORT_SCHEMA
 from latreg.cli import main
 
@@ -227,6 +229,14 @@ class TestColumnRefusals:
         assert code == 3
         assert out == ""
         assert err == "error: header names column 'x' more than once\n"
+
+    @pytest.mark.parametrize("command", ["rotate", "measures", "means"])
+    def test_empty_column_name_is_usage_error(self, capsys, d1_path, command):
+        code, out, err = run(capsys, command, "--input", d1_path,
+                             "--columns", "x,,y")
+        assert code == 2
+        assert out == ""
+        assert err == "error: empty column name in --columns\n"
 
     @pytest.mark.parametrize("command", ["rotate", "measures", "means"])
     def test_column_selected_twice_is_usage_error(self, capsys, d1_path,
@@ -452,6 +462,41 @@ class TestSimulate:
         assert out == ""
         assert err == (f"error: {option[2:]} must be finite, "
                        f"got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_deviations_summing_past_the_float_range(self, capsys, seed):
+        # Sixty finite deviations near 1e307 add up past the float range;
+        # their mean is the exact mean, rounded once.
+        code, out, err = run(capsys, "simulate", "--seed", str(seed), "--mu",
+                             "1e308", "--sigma", "3e307", "--n", "3",
+                             "--trials", "60", "--format", "json")
+        assert (code, err) == (0, "")
+        stats = json.loads(out)["simulation"]
+        rng = np.random.default_rng(seed)
+        devs = {"random_weight": [], "self_weight": []}
+        for _ in range(60):
+            data = latreg.Dataset({"x": rng.normal(1e308, 3e307, 3),
+                                   "w": rng.uniform(0.0, 1.0, 3)})
+            xbar = latreg.standard_mean(data, "x")
+            devs["random_weight"].append(
+                abs(latreg.weighted_mean(data, "x", "w") - xbar))
+            devs["self_weight"].append(
+                abs(latreg.self_weighting_mean(data, "x") - xbar))
+        for name, values in devs.items():
+            assert stats[f"{name}_dev_max"] == max(values)
+            assert stats[f"{name}_dev_mean"] == float(
+                sum(map(Fraction, values)) / len(values))
+
+    def test_infinite_deviation_is_data_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(latreg.means, "weighted_mean",
+                            lambda lat, col, weight: 1e308)
+        monkeypatch.setattr(latreg.means, "standard_mean", lambda lat, col: -1e308)
+        code, out, err = run(capsys, "simulate", "--seed", "1", "--n", "10",
+                             "--trials", "1")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: report value simulation[random_weight_dev_max] "
+                       "is inf, not a finite number\n")
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,9 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from latreg import (CsvFormatError, Dataset, Direction, REPORT_SCHEMA,
-                    RotationResult, UNITY, fit_all_rotations, measure_catalog,
-                    read_csv, write_csv, write_report)
+from latreg import (CsvFormatError, Dataset, Direction, NonFiniteResultError,
+                    REPORT_SCHEMA, RotationResult, UNITY, fit_all_rotations,
+                    measure_catalog, read_csv, render, write_csv, write_report)
 
 D1_CSV = "x,y\n1,2\n2,3\n3,5\n"
 
@@ -219,3 +219,18 @@ class TestWriteReport:
     def test_unknown_format_rejected(self, d1_rotations):
         with pytest.raises(ValueError):
             write_report(d1_rotations, {}, format="yaml")
+
+
+class TestRender:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_leaf_is_named(self, fmt, value):
+        payload = {"simulation": {"seed": 1, "x": value}}
+        with pytest.raises(NonFiniteResultError) as excinfo:
+            render(payload, fmt)
+        assert str(excinfo.value) == (f"report value simulation[x] is "
+                                      f"{value!r}, not a finite number")
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="^unknown report format 'yaml'$"):
+            render({"simulation": {"x": 1.0}}, "yaml")

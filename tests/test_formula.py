@@ -61,6 +61,13 @@ class TestParseErrors:
             parse_model("y = 2 + x")
         assert excinfo.value.position == 4
 
+    def test_operator_in_place_of_a_term(self):
+        with pytest.raises(FormulaError) as excinfo:
+            parse_model("y = + x")
+        assert excinfo.value.position == 4
+        assert str(excinfo.value) == ("expected a column name or 1, got '+' "
+                                      "(position 4)")
+
     def test_unity_not_allowed_in_product(self):
         with pytest.raises(FormulaError):
             parse_model("y = x*1")

@@ -52,6 +52,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset({"x": [1.0, 2.0], "y": [1.0]})
 
+    def test_rejects_two_dimensional_column(self):
+        with pytest.raises(ValueError,
+                           match="^column 'x' is not one-dimensional$"):
+            Dataset({"x": [[1.0, 2.0], [3.0, 4.0]]})
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset({"x": [1.0, math.nan]})
