@@ -25,10 +25,9 @@ dirs = [UNITY, x, y]
 data = Dataset({"x": [1.0, 2.0, 3.0], "y": [2.0, 3.0, 5.0]})
 lat = build_lattice(data, dirs)
 
-# The lattice holds G as integers: V(d_i, d_j) = G[i][j] 2^(e_i + e_j).
-ints, exps = lat.matrix(dirs)
-G = [[Fraction(ints[i][j]) * Fraction(2) ** (exps[i] + exps[j])
-      for j in range(3)] for i in range(3)]
+# The lattice holds G as integers and one power of two: V = G 2^scale.
+G = [[Fraction(v) * Fraction(2) ** lat.scale for v in row]
+     for row in lat.matrix(dirs)]
 
 
 def cofactor(i, j):

@@ -97,10 +97,12 @@ class FitResult:
     implicit model) and ``numerators`` are the column-replaced
     determinants in regressor order, and ``exact_determinant`` is det G,
     G the vertex matrix over (response, regressors), each held as
-    ``(integer, exponent)``.  ``sse`` is the least squares minimum, the
-    sum of squared residuals at the exact coefficients: det G /
-    ``denominator``.  Each value is rounded once when first read; one
-    outside the float range raises
+    ``(integer, exponent)``: with V = G 2^scale over k directions, the
+    denominator and numerators are (k - 1) x (k - 1) minors of G at
+    2^((k - 1) scale), and det G is at 2^(k scale).  ``sse`` is the least
+    squares minimum, the sum of squared residuals at the exact
+    coefficients: det G / ``denominator``.  Each value is rounded once
+    when first read; one outside the float range raises
     :class:`~latreg.errors.NonFiniteResultError` naming it.
     """
 
@@ -148,26 +150,27 @@ def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
     (:class:`~latreg.errors.MissingVertexError` otherwise); no row is
     read.  Raises :class:`SingularSystemError` when the exact system
     determinant is 0 (collinear regressors)."""
-    g, exps = lat.matrix((spec.response, *spec.regressors))
+    g = lat.matrix((spec.response, *spec.regressors))
     return _cofactor_fit(spec, g[0], [cofactor(g, 0, j) for j in range(len(g))],
-                         0, exps)
+                         0, lat.scale)
 
 
 def _cofactor_fit(spec: ModelSpec, g_row: Sequence[int], row: Sequence[int],
-                  r: int, exps: Sequence[int]) -> FitResult:
-    """``spec`` from row r of the vertex matrix G over its directions and
-    row r of its cofactor matrix C, the response at r: G[i][j] carries
-    2^(e_i + e_j) and C[i][j] 2^(2 sum(e) - e_i - e_j), so each term of
-    det G = sum_j G[r][j] C[r][j] carries 2^(2 sum(e))."""
+                  r: int, scale: int) -> FitResult:
+    """``spec`` from row r of the k x k vertex matrix G over its
+    directions and row r of its cofactor matrix C, the response at r: V =
+    G 2^scale, so each C[r][j], a (k - 1) x (k - 1) minor, carries
+    2^((k - 1) scale), and det G = sum_j G[r][j] C[r][j] carries
+    2^(k scale)."""
     if row[r] == 0:
         raise SingularSystemError(
             f"singular normal equations for {spec.label!r} (determinant 0.0)",
             determinant=0.0)
-    total = 2 * sum(exps) - exps[r]
-    return FitResult(spec, (row[r], total - exps[r]),
-                     tuple((-c, total - e) for j, (c, e) in enumerate(zip(row, exps))
-                           if j != r),
-                     (sum(g * c for g, c in zip(g_row, row)), 2 * sum(exps)))
+    k = len(row)
+    exp = (k - 1) * scale
+    return FitResult(spec, (row[r], exp),
+                     tuple((-c, exp) for j, c in enumerate(row) if j != r),
+                     (sum(g * c for g, c in zip(g_row, row)), k * scale))
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
@@ -212,7 +215,7 @@ def fit_all_rotations(source: Dataset | Lattice,
         raise ValueError("rotation directions must include unity")
 
     lat = lattice_over(source, dirs)
-    g, exps = lat.matrix(dirs)
+    g = lat.matrix(dirs)
     cof = [[0] * len(g) for _ in g]
     for i, j in itertools.combinations_with_replacement(range(len(g)), 2):
         cof[i][j] = cof[j][i] = cofactor(g, i, j)  # G is symmetric
@@ -222,7 +225,7 @@ def fit_all_rotations(source: Dataset | Lattice,
         spec = ModelSpec(response=resp, regressors=tuple(dirs[:r] + dirs[r + 1:]))
         try:
             results.append(RotationResult(
-                response=resp, fit=_cofactor_fit(spec, g[r], cof[r], r, exps)))
+                response=resp, fit=_cofactor_fit(spec, g[r], cof[r], r, lat.scale)))
         except SingularSystemError as err:
             results.append(RotationResult(response=resp, error=err))
     return results

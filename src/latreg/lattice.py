@@ -21,12 +21,14 @@ cover the three-regressor systems.  Over (1, x, y) the six catalog
 determinants are the six distinct cofactors of G, and the fits of
 every rotation are the rows of its cofactor matrix.
 
-Every vertex is exact: a Python integer times 2^(e_a + e_b), summed by
-:func:`build_lattice` from 20-bit limbs of the data held as float64, in
-matrix products whose partial sums are all integers below 2^53 (the
-error-free splitting of Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
-59, 2012).  A block's limbs take one exact ``np.ldexp`` scaling, a
-product's int64 limb products, and each direction set's layout is cached.
+Every vertex is exact: V = G 2^scale, G an integer matrix and ``scale``
+one exponent for the whole lattice, so an r x r minor of G carries
+2^(r scale).  :func:`build_lattice` sums G from 20-bit limbs of the
+data held as float64, in matrix products whose partial sums are all
+integers below 2^53 (the error-free splitting of Ozaki, Ogita, Oishi &
+Rump, Numer. Algorithms 59, 2012).  A block's limbs take one exact
+``np.ldexp`` scaling, a product's int64 limb products, and each
+direction set's layout is cached.
 Determinants, means and fits built from the vertices are exact and
 rounded once, when read; only that rounding can leave the float range,
 and then a :class:`NonFiniteResultError` names the value.
@@ -184,18 +186,19 @@ class Lattice:
     """Exact pairwise vertices V(a, b) over a dataset, built by
     :func:`build_lattice`; immutable.  The directions may be products, so
     interaction terms induce higher-order sums.  V(a, b) is the integer
-    ``exact(a, b)`` times 2^(``exponent(a)`` + ``exponent(b)``).
+    ``exact(a, b)`` times 2^``scale``, one power of two for every pair:
+    V = G 2^scale, and an r x r minor of G carries 2^(r scale).
     """
 
     def __init__(self, directions: Sequence[Direction],
-                 vertices: Sequence[Sequence[int]], exponents: Sequence[int]):
+                 vertices: Sequence[Sequence[int]], scale: int):
         self.directions = tuple(directions)
         self._at = {d.factors: i for i, d in enumerate(self.directions)}
         self._vertices = vertices
-        self._exponents = exponents
+        self.scale = scale
 
     def exact(self, a: Direction, b: Direction) -> int:
-        """V(a, b) / 2^(exponent(a) + exponent(b)); symmetric."""
+        """V(a, b) / 2^scale; symmetric."""
         try:
             return self._vertices[self._at[a.factors]][self._at[b.factors]]
         except KeyError:
@@ -203,32 +206,22 @@ class Lattice:
                 f"vertex ({a.label}, {b.label}) is not cached; "
                 "rebuild the lattice with both directions") from None
 
-    def matrix(self, directions: Sequence[Direction]
-               ) -> tuple[list[list[int]], list[int]]:
-        """The integer matrix G[i][j] = exact(d_i, d_j) over ``directions``
-        and each exponent e_i, so V(d_i, d_j) = G[i][j] 2^(e_i + e_j)."""
+    def matrix(self, directions: Sequence[Direction]) -> list[list[int]]:
+        """The integer matrix G[i][j] = exact(d_i, d_j) over ``directions``,
+        so V(d_i, d_j) = G[i][j] 2^scale."""
         at = [self._at.get(d.factors) for d in directions]
         if None in at:  # raises, naming the first pair missing
             self.exact(directions[0], directions[at.index(None)])
-        return ([[row[j] for j in at] for row in map(self._vertices.__getitem__, at)],
-                list(map(self._exponents.__getitem__, at)))
-
-    def exponent(self, d: Direction) -> int:
-        """The binary exponent e_d of a cached direction."""
-        try:
-            return self._exponents[self._at[d.factors]]
-        except KeyError:
-            raise MissingVertexError(f"direction {d.label} is not cached; "
-                                     "rebuild the lattice with it") from None
+        return [[row[j] for j in at] for row in map(self._vertices.__getitem__, at)]
 
     def vertex(self, a: Direction, b: Direction) -> float:
         """V(a, b), rounded once; symmetric."""
-        return rounded(self.exact(a, b), self.exponent(a) + self.exponent(b),
+        return rounded(self.exact(a, b), self.scale,
                        "vertex V({0.label}, {1.label})", a, b)
 
     def __repr__(self) -> str:
         return "Lattice(n={}, directions=[{}])".format(
-            self.exact(UNITY, UNITY),
+            int(self.vertex(UNITY, UNITY)),
             ", ".join(d.label for d in self.directions))
 
 
@@ -252,7 +245,7 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     smallest nonzero magnitude.  Those integers are split into limbs, a
     product direction's limbs are multiplied out from its factors', and
     one matrix product sums every pair of limbs over the block.  The
-    block's vertices go into Python integers at the lowest exponent any
+    block's vertices go into Python integers at the lowest scale any
     block needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
     def blocks(rows, _):
@@ -297,14 +290,13 @@ def _fold(directions: Sequence[Direction], source: Sequence[str],
     that together hold every data row once.  No block raises
     :class:`EmptyDataError`."""
     keyed, (rows, width, factors) = _checked(directions, source)
-    pairs = _pairs(len(keyed))
     total = None
     for block in blocks(rows, width):
         part = _block_vertices(block, factors)
-        total = part if total is None else _add(total, part, pairs)
+        total = part if total is None else _add(total, part)
     if total is None:
         raise EmptyDataError("dataset has no rows")
-    return _of_pairs(keyed.values(), total, pairs)
+    return _of_pairs(tuple(keyed.values()), total)
 
 
 def _checked(directions: Sequence[Direction], source: Sequence[str]):
@@ -320,16 +312,13 @@ def _checked(directions: Sequence[Direction], source: Sequence[str]):
     return keyed, _plan(tuple(keyed), tuple(source))
 
 
-def _add(total, part, pairs):
-    """The exact sum of two partial lattices, each ``(sums, exps)``: per
-    pair (i, j) of directions the integer V(i, j) / 2^(e_i + e_j), and
-    per direction its exponent e_d.  The sum is at each direction's lower
-    exponent, so it is the shift and add of two integers per pair."""
-    (totals, low), (sums, exps) = total, part
-    new = list(map(min, low, exps))
-    return ([(t << low[i] - new[i] + low[j] - new[j])
-             + (v << exps[i] - new[i] + exps[j] - new[j])
-             for t, v, (i, j) in zip(totals, sums, pairs)], new)
+def _add(total, part):
+    """The exact sum of two partial lattices, each ``(sums, scale)``: per
+    pair (i, j) of directions the integer V(i, j) / 2^scale, and that
+    scale.  The sum is at the lower scale, so it is one shift and one add
+    per pair."""
+    (sums, low), (ups, high) = sorted((total, part), key=operator.itemgetter(1))
+    return [v + (u << high - low) for v, u in zip(sums, ups)], low
 
 
 def _sum(a: Lattice, b: Lattice) -> Lattice:
@@ -338,25 +327,28 @@ def _sum(a: Lattice, b: Lattice) -> Lattice:
     pairs = _pairs(len(a.directions))
 
     def part(lat):
-        return [lat._vertices[i][j] for i, j in pairs], lat._exponents
+        return [lat._vertices[i][j] for i, j in pairs], lat.scale
 
-    return _of_pairs(a.directions, _add(part(a), part(b), pairs), pairs)
+    return _of_pairs(a.directions, _add(part(a), part(b)))
 
 
-def _of_pairs(directions, total, pairs) -> Lattice:
-    """The lattice whose ``(sums, exps)`` are ``total``, a sum per pair."""
-    sums, exps = total
-    vertices = [[0] * len(exps) for _ in exps]
-    for v, (i, j) in zip(sums, pairs):
+def _of_pairs(directions, total) -> Lattice:
+    """The lattice whose ``(sums, scale)`` are ``total``, a sum per pair."""
+    sums, scale = total
+    vertices = [[0] * len(directions) for _ in directions]
+    for v, (i, j) in zip(sums, _pairs(len(directions))):
         vertices[i][j] = vertices[j][i] = v
-    return Lattice(directions, vertices, exps)
+    return Lattice(directions, vertices, scale)
 
 
 def _block_vertices(values: np.ndarray, factors):
     """For one block of column values (a row per column) and each
     direction's factors as row numbers: per pair (i, j) of directions in
-    :func:`_pairs` order the integer V(i, j) / 2^(e_i + e_j), and per
-    direction e_d (the sum of its factors')."""
+    :func:`_pairs` order the integer V(i, j) / 2^scale, and the block's
+    scale.  Column c's values are integer multiples of 2^e_c, so a
+    direction d's are multiples of 2^e_d, e_d the sum of its factors' e_c
+    (0 for unity), and V(i, j) of 2^(e_i + e_j); the scale is twice the
+    lowest e_d, so every pair's integer is its sum shifted left."""
     magnitude = np.abs(values)
     lows = magnitude.min(axis=1).tolist()
     if 0.0 in lows:
@@ -394,8 +386,11 @@ def _block_vertices(values: np.ndarray, factors):
     gram = (rows @ rows.T).astype(np.int64).reshape(-1)
     diagonals = np.add.reduceat(gram[terms], bounds).tolist()
     running = [0, *itertools.accumulate(map(operator.lshift, diagonals, steps))]
-    return ([running[b] - running[a] for a, b in zip(ends, ends[1:])],
-            [sum(map(exps.__getitem__, f)) for f in factors])
+    up = [sum(map(exps.__getitem__, f)) for f in factors]
+    low = min(up)
+    up = [e - low for e in up]
+    return ([running[b] - running[a] << up[i] + up[j]
+             for a, b, (i, j) in zip(ends, ends[1:], _pairs(len(factors)))], 2 * low)
 
 
 @functools.lru_cache(maxsize=256)
@@ -533,11 +528,11 @@ def cofactor(m: Sequence[Sequence[int]], i: int, j: int) -> int:
 
 def _positions(lat: Lattice, subscripts: Sequence[Direction]):
     """The lattice's matrix over the directions of ``subscripts``, the
-    position of each subscript in it, and the sum of their exponents."""
+    position of each subscript in it, and the exponent of an r x r minor
+    or an r-vertex join on them, r the number of (row, column) pairs."""
     dirs = list(dict.fromkeys(subscripts))
-    m, exps = lat.matrix(dirs)
-    at = list(map(dirs.index, subscripts))
-    return m, at, sum(map(exps.__getitem__, at))
+    return (lat.matrix(dirs), list(map(dirs.index, subscripts)),
+            len(subscripts) // 2 * lat.scale)
 
 
 def _label(subscripts: Sequence[Direction]) -> str:
@@ -628,14 +623,13 @@ def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
     label = _label(kind.subscripts)
     if len(kind.subscripts) != 4:
         raise ValueError(f"no sigma scaling for determinant delta_{label}")
-    n = lat.exact(UNITY, UNITY)
-    return rounded(*_kind_det(lat, kind), "sigma_{}", label, den=n * n)
+    n = lat.exact(UNITY, UNITY)  # V(1, 1)^2 carries 2^(2 scale), as det does
+    return rounded(_kind_det(lat, kind)[0], 0, "sigma_{}", label, den=n * n)
 
 
 def _kind_det(lat: Lattice, kind: DeterminantKind) -> tuple[int, int]:
-    """The determinant of ``kind`` as ``(integer, exponent)``: a
-    :func:`minor` of the lattice's matrix, whose terms each carry 2^(sum
-    of the subscripts' exponents)."""
+    """The determinant of ``kind`` as ``(integer, exponent)``: an r x r
+    :func:`minor` of the lattice's matrix, which carries 2^(r scale)."""
     m, at, exp = _positions(lat, kind.subscripts)
     return minor(m, at[0::2], at[1::2]), exp
 
@@ -661,16 +655,17 @@ def measure_catalog(source: Dataset | Lattice,
     if len(set(columns)) != len(columns):
         raise ValueError("measure catalog columns must be distinct")
     axes = (UNITY, *map(Direction, columns))
-    m, exps = lattice_over(source, axes).matrix(axes)
+    lat = lattice_over(source, axes)
+    m, scale = lat.matrix(axes), lat.scale
     keys, cells, kinds = _catalog(axes)
-    values = [rounded(m[i][j], exps[i] + exps[j], "vertex V({0.label}, {1.label})",
+    values = [rounded(m[i][j], scale, "vertex V({0.label}, {1.label})",
                       axes[i], axes[j]) for i, j in cells]
-    dets = [(key, minor(m, rows, cols), sum(map(exps.__getitem__, rows + cols)),
-             len(rows)) for key, rows, cols in kinds]
-    values += [rounded(det, exp, "determinant delta_{}", key)
-               for key, det, exp, _ in dets]
-    values += [rounded(det, exp, "sigma_{}", key, den=m[0][0] ** 2)
-               for key, det, exp, size in dets if size == 2]
+    dets = [(key, minor(m, rows, cols), len(rows)) for key, rows, cols in kinds]
+    values += [rounded(det, size * scale, "determinant delta_{}", key)
+               for key, det, size in dets]
+    # delta / V(1, 1)^2: both carry 2^(2 scale).
+    values += [rounded(det, 0, "sigma_{}", key, den=m[0][0] ** 2)
+               for key, det, size in dets if size == 2]
     return dict(zip(keys, values))
 
 

@@ -56,8 +56,7 @@ def mean_operator(source: Dataset | Lattice, req: MeanRequest) -> float:
     if weight == 0:
         raise ZeroWeightError(
             f"weight sum over vertex ({a.label}, {b.label}) is zero")
-    e = lat.exponent
-    return rounded(lat.exact(ab, d), e(ab) + e(d) - e(a) - e(b),
+    return rounded(lat.exact(ab, d), 0,  # both vertices carry 2^scale
                    "mean V({0.label}, {1.label}) / V({2.label}, {3.label})",
                    ab, d, a, b, den=weight)
 

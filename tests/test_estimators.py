@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,17 +338,28 @@ class TestSharedLattice:
 
 class TestModelProperties:
     def test_slope_correlation_identity(self):
+        def exact(pair):
+            value, exponent = pair
+            return Fraction(value) * Fraction(2) ** exponent
+
         rng = np.random.default_rng(31)
         for _ in range(200):
             data = random_dataset(rng)
             lat = build_lattice(data, [UNITY, X, Y])
-            beta1 = fit(data, spec(Y, UNITY, X)).coefficients[1]
-            gamma1 = fit(data, spec(X, UNITY, Y)).coefficients[1]
+            line, rotated = fit(data, spec(Y, UNITY, X)), fit(data, spec(X, UNITY, Y))
+            beta1, gamma1 = line.coefficients[1], rotated.coefficients[1]
             dxy = form_determinant(lat, DeterminantKind.covariance(X, Y))
             dxx = form_determinant(lat, DeterminantKind.variance(X))
             dyy = form_determinant(lat, DeterminantKind.variance(Y))
             assert math.isclose(beta1 * gamma1, dxy * dxy / (dxx * dyy),
                                 rel_tol=1e-12, abs_tol=1e-12)
+            # Exactly: beta1 gamma1 = delta_11xy^2 / (delta_11xx delta_11yy),
+            # each delta a 2x2 minor of G, whose scale cancels in the ratio.
+            (n, sx, sy), (_, sxx, sxy), (_, _, syy) = lat.matrix([UNITY, X, Y])
+            slopes = math.prod(exact(f.exact_numerators[1]) / exact(f.exact_denominator)
+                               for f in (line, rotated))
+            assert slopes == Fraction((n * sxy - sx * sy) ** 2,
+                                      (n * sxx - sx * sx) * (n * syy - sy * sy))
 
     def test_exact_implicit_model_recovered(self):
         rng = np.random.default_rng(37)

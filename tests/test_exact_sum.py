@@ -162,8 +162,7 @@ class TestKernelBits:
         for a in lat.directions:
             for b in lat.directions:
                 value = exact.vertex(a.factors, b.factors)
-                assert (Fraction(lat.exact(a, b))
-                        * Fraction(2) ** (lat.exponent(a) + lat.exponent(b))
+                assert (Fraction(lat.exact(a, b)) * Fraction(2) ** lat.scale
                         == value)
                 assert_value(lambda: lat.vertex(a, b), value,
                              f"vertex V({a.label}, {b.label})")

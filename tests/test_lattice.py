@@ -121,12 +121,6 @@ class TestVertices:
         with pytest.raises(ValueError):
             build_lattice(d1, [])
 
-    def test_missing_direction_exponent(self):
-        lat = build_lattice(Dataset({"x": [1.0, 2.0]}), [UNITY, X])
-        with pytest.raises(MissingVertexError,
-                           match=r"^direction z is not cached"):
-            lat.exponent(Direction("z"))
-
     @pytest.mark.parametrize("n", [1, 7, 2 * latreg.lattice._BLOCK_ROWS + 3])
     def test_unity_only_lattice(self, n):
         # No column is read, yet the blocks still hold n rows of unity.
@@ -137,7 +131,7 @@ class TestVertices:
                     latreg.lattice.lattice_of_rows(chunks, ["x", "y"], [UNITY])):
             assert lat.directions == (UNITY,)
             assert lat.exact(UNITY, UNITY) == n
-            assert lat.exponent(UNITY) == 0
+            assert lat.scale == 0
             assert lat.vertex(UNITY, UNITY) == float(n)
 
     def test_duplicates_dropped(self, d1):
@@ -345,7 +339,7 @@ class TestScaledSigma:
         n = 1001
         data = Dataset({"x": np.arange(n, dtype=float) % 7})
         lat = lattice_for(data, X)
-        rowless = Lattice(lat.directions, lat._vertices, lat._exponents)
+        rowless = Lattice(lat.directions, lat._vertices, lat.scale)
         kind = DeterminantKind.variance(X)
         assert scaled_sigma(rowless, kind) == (form_determinant(lat, kind)
                                                / float(n * n))
@@ -425,7 +419,7 @@ class TestMeasureCatalog:
 
     def test_catalog_reads_only_the_lattice(self, d2):
         lat = lattice_for(d2, X, Y, Z)
-        rowless = Lattice(lat.directions, lat._vertices, lat._exponents)
+        rowless = Lattice(lat.directions, lat._vertices, lat.scale)
         assert (list(measure_catalog(rowless, ["x", "y", "z"]).items())
                 == list(measure_catalog(lat, ["x", "y", "z"]).items()))
 

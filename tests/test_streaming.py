@@ -44,8 +44,7 @@ from test_csv_chunks import csv_documents
 def exact_vertices(lat):
     """Every vertex of a lattice as an exact Fraction, by factor pair."""
     return {(a.factors, b.factors):
-            Fraction(lat.exact(a, b)) * Fraction(2) ** (lat.exponent(a)
-                                                         + lat.exponent(b))
+            Fraction(lat.exact(a, b)) * Fraction(2) ** lat.scale
             for a in lat.directions for b in lat.directions}
 
 
