@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # A file of several MB is read as two byte ranges, one by a forked
 # worker; stdin is always read serially.  The two must print the same
-# bytes for rotate, fit and means, with Python's development mode on and
-# every warning an error.  The same rows under a quoted header are read
+# bytes for rotate, fit, means and measures, with Python's development
+# mode on and every warning an error.  The same rows under a quoted header are read
 # serially from the path too, after the scan for quotes.  The same rows
 # followed by as many blank lines leave the worker's range without rows,
 # so the path is read serially after the fork.
@@ -32,3 +32,4 @@ check() {
 check rotate --columns x,y,z
 check fit --model "1 = x + y + x*y"
 check means --columns x,y,z
+check measures --columns x,y,z

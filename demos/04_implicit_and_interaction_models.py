@@ -38,13 +38,13 @@ result = fit(noisy, ModelSpec(response=UNITY, regressors=(x, y)))
 print("planted (0.3, 0.1), recovered:",
       tuple(round(c, 4) for c in result.coefficients))
 
-# Identical columns make the implicit system singular; the error keeps
-# the offending determinant.
+# Identical columns make the implicit system singular: its exact
+# determinant is 0, and the error names the model.
 twin = Dataset({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
 try:
     fit(twin, ModelSpec(response=UNITY, regressors=(x, y)))
 except SingularSystemError as err:
-    print("singular as expected, determinant =", err.determinant)
+    print("singular as expected:", err)
 
 # The explicit rotation of the same data is perfectly well-posed.
 result = fit(twin, ModelSpec(response=y, regressors=(UNITY, x)))

@@ -92,7 +92,7 @@ import numpy as np
 
 from .errors import CsvFormatError, EmptyDataError, NonFiniteResultError
 from .estimators import RotationResult
-from .lattice import (Dataset, Direction, Lattice, _checked, _sum,
+from .lattice import (Dataset, Direction, Lattice, _plan, _sum,
                       lattice_of_rows)
 
 __all__ = [
@@ -191,7 +191,7 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
             # The path is opened once: a named pipe's data is gone once
             # its reader closes it, and the path may be replaced meanwhile.
             source = stack.enter_context(open(source, "rb"))
-            _checked(directions, names)  # before a worker is forked
+            _plan(tuple(directions), names)  # before a worker is forked
             lattice = _read_ranges(source.fileno(), names, directions)
             if lattice is not None:
                 return lattice

@@ -45,13 +45,8 @@ class NonFiniteResultError(LatregError):
 
 
 class SingularSystemError(LatregError):
-    """The normal equations are singular: the exact system determinant,
-    kept on the ``determinant`` attribute, is 0.
-    """
-
-    def __init__(self, message: str, determinant: float):
-        super().__init__(message)
-        self.determinant = determinant
+    """The normal equations are singular: the exact system determinant
+    is 0."""
 
 
 class CsvFormatError(LatregError):

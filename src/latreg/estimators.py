@@ -28,7 +28,8 @@ lattice serves a whole request::
     rotations = fit_all_rotations(lat, [UNITY, x, y])
     catalog = measure_catalog(lat, ["x", "y"])
 
-:func:`fit` is the one-model shorthand ``solve(build_lattice(...), spec)``.
+:func:`solve` also takes a dataset, over which it builds the one lattice
+it needs; :func:`fit` is that one-model case.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LatregError, NonFiniteResultError, SingularSystemError
-from .lattice import (Dataset, Direction, Lattice, UNITY, build_lattice,
-                      cofactor, lattice_over, rounded)
+from .lattice import (Dataset, Direction, Lattice, UNITY, cofactor,
+                      lattice_over, rounded)
 
 __all__ = [
     "ModelSpec",
@@ -144,12 +145,16 @@ class FitResult:
         return out
 
 
-def solve(lat: Lattice, spec: ModelSpec) -> FitResult:
+def solve(source: Dataset | Lattice, spec: ModelSpec) -> FitResult:
     """Fit a model from row 0 of the cofactor matrix over (response,
-    regressors...), read from a lattice that caches those directions
-    (:class:`~latreg.errors.MissingVertexError` otherwise); no row is
-    read.  Raises :class:`SingularSystemError` when the exact system
-    determinant is 0 (collinear regressors)."""
+    regressors...).  ``source`` is a dataset, over which one lattice is
+    built (a missing column raises
+    :class:`~latreg.errors.ColumnNotFoundError`), or a lattice that caches
+    those directions (:class:`~latreg.errors.MissingVertexError`
+    otherwise); no row is read after that.  Raises
+    :class:`SingularSystemError` when the exact system determinant is 0
+    (collinear regressors)."""
+    lat = lattice_over(source, [UNITY, *spec.regressors, spec.response])
     g = lat.matrix((spec.response, *spec.regressors))
     return _cofactor_fit(spec, g[0], [cofactor(g, 0, j) for j in range(len(g))],
                          0, lat.scale)
@@ -164,8 +169,7 @@ def _cofactor_fit(spec: ModelSpec, g_row: Sequence[int], row: Sequence[int],
     2^(k scale)."""
     if row[r] == 0:
         raise SingularSystemError(
-            f"singular normal equations for {spec.label!r} (determinant 0.0)",
-            determinant=0.0)
+            f"singular normal equations for {spec.label!r} (determinant 0.0)")
     k = len(row)
     exp = (k - 1) * scale
     return FitResult(spec, (row[r], exp),
@@ -174,11 +178,9 @@ def _cofactor_fit(spec: ModelSpec, g_row: Sequence[int], row: Sequence[int],
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
-    """:func:`solve` on a lattice built over unity and the spec's
-    directions; a missing column raises
-    :class:`~latreg.errors.ColumnNotFoundError`."""
-    return solve(build_lattice(data, [UNITY, *spec.regressors, spec.response]),
-                 spec)
+    """``solve(data, spec)``: one model over a dataset, where a missing
+    column raises :class:`~latreg.errors.ColumnNotFoundError`."""
+    return solve(data, spec)
 
 
 @dataclass(frozen=True)

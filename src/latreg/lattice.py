@@ -225,34 +225,34 @@ class Lattice:
             ", ".join(d.label for d in self.directions))
 
 
-#: Bits per limb.  Every limb is below 2^21 in magnitude, so a product of
-#: two is below 2^42 and a float64 sum of ``_BLOCK_ROWS`` = 2^11 of them an
-#: integer below 2^53: exact.
+#: Bits per limb.  Every limb is below 2^(_LIMB_BITS + 1) in magnitude.
 _LIMB_BITS = 20
 
-#: Rows summed by one matrix product; a block's temporaries stay small.
-_BLOCK_ROWS = 1 << 11
+#: Rows summed by one matrix product: a product of two limbs is below
+#: 2^(2 (_LIMB_BITS + 1)), so a float64 sum of this many is an integer
+#: below 2^53, exact (2^11 rows at 20-bit limbs).
+_BLOCK_ROWS = 1 << 53 - 2 * (_LIMB_BITS + 1)
 
 
 def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     """Compute all pairwise vertices over ``directions``, exactly.
 
     ``directions`` must be non-empty and include unity (else
-    ``ValueError``); duplicates are dropped.  Each column is read once,
-    in blocks of ``_BLOCK_ROWS`` rows (views of the table when the
-    columns read are evenly spaced in it), where each value of column
-    c is an integer multiple of 2^e_c, e_c the ulp of the block's
-    smallest nonzero magnitude.  Those integers are split into limbs, a
-    product direction's limbs are multiplied out from its factors', and
-    one matrix product sums every pair of limbs over the block.  The
-    block's vertices go into Python integers at the lowest scale any
-    block needed.  A missing column raises :class:`ColumnNotFoundError`.
+    ``ValueError``, before any row is read); duplicates are dropped.
+    Each column is read once, in blocks of ``_BLOCK_ROWS`` rows (views
+    of the table when the columns read are evenly spaced in it), where
+    each value of column c is an integer multiple of 2^e_c, e_c the ulp
+    of the block's smallest nonzero magnitude.  Those integers are split
+    into limbs, a product direction's limbs are multiplied out from its
+    factors', and one matrix product sums every pair of limbs over the
+    block.  The block's vertices go into Python integers at the lowest
+    scale any block needed.  A missing column raises
+    :class:`ColumnNotFoundError`.
     """
-    def blocks(rows, _):
-        for start in range(0, data.n, _BLOCK_ROWS):
-            yield data._table[rows, start:start + _BLOCK_ROWS]
-
-    return _fold(directions, data.names, blocks)
+    plan = _plan(tuple(directions), data.names)
+    rows = plan[1]
+    return _fold(plan, (data._table[rows, start:start + _BLOCK_ROWS]
+                        for start in range(0, data.n, _BLOCK_ROWS)))
 
 
 def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
@@ -261,55 +261,44 @@ def lattice_of_rows(chunks: Iterable[np.ndarray], names: Sequence[str],
     of the columns ``names``, in row order.  The chunks are re-cut into
     blocks of ``_BLOCK_ROWS`` rows, so the exact vertices and the number
     of blocks are those of the same rows in one :class:`Dataset`; no
-    chunk is kept past its turn.  No rows raise :class:`EmptyDataError`."""
-    def blocks(columns, width):
-        # One buffer serves every full block; each is summed before the next.
-        size, filled = _BLOCK_ROWS, 0
-        block = np.empty((width, size))
-        for chunk in chunks:
-            start = 0
-            while start < len(chunk):
-                take = min(size - filled, len(chunk) - start)
-                block[:, filled:filled + take] = chunk[start:start + take, columns].T
-                filled, start = filled + take, start + take
-                if filled == size:
-                    yield block
-                    filled = 0
-        if filled:
-            yield block[:, :filled]
-
-    return _fold(directions, names, blocks)
+    chunk is kept past its turn.  The directions are checked before any
+    chunk is read.  No rows raise :class:`EmptyDataError`."""
+    plan = _plan(tuple(directions), tuple(names))
+    return _fold(plan, _recut(chunks, plan[1], plan[2]))
 
 
-def _fold(directions: Sequence[Direction], source: Sequence[str],
-          blocks) -> Lattice:
-    """The exact lattice over ``directions`` from ``blocks(rows, width)``:
-    the column blocks of a source whose columns are named ``source``,
-    each the ``width`` rows ``rows`` of it (the columns the directions
-    read, in the source's order) and at most ``_BLOCK_ROWS`` columns,
-    that together hold every data row once.  No block raises
-    :class:`EmptyDataError`."""
-    keyed, (rows, width, factors) = _checked(directions, source)
+def _recut(chunks: Iterable[np.ndarray], columns, width: int):
+    """The ``width`` columns ``columns`` of row chunks, transposed and
+    re-cut into blocks of ``_BLOCK_ROWS`` rows, the last one shorter."""
+    # One buffer serves every full block; each is summed before the next.
+    size, filled = _BLOCK_ROWS, 0
+    block = np.empty((width, size))
+    for chunk in chunks:
+        start = 0
+        while start < len(chunk):
+            take = min(size - filled, len(chunk) - start)
+            block[:, filled:filled + take] = chunk[start:start + take, columns].T
+            filled, start = filled + take, start + take
+            if filled == size:
+                yield block
+                filled = 0
+    if filled:
+        yield block[:, :filled]
+
+
+def _fold(plan, blocks: Iterable[np.ndarray]) -> Lattice:
+    """The exact lattice of ``blocks`` by ``plan``, a :func:`_plan`: each
+    block a (width, r) array of the plan's rows of a source, r at most
+    ``_BLOCK_ROWS``, and the blocks together hold every data row once.
+    No block raises :class:`EmptyDataError`."""
+    directions, _, _, factors = plan
     total = None
-    for block in blocks(rows, width):
+    for block in blocks:
         part = _block_vertices(block, factors)
         total = part if total is None else _add(total, part)
     if total is None:
         raise EmptyDataError("dataset has no rows")
-    return _of_pairs(tuple(keyed.values()), total)
-
-
-def _checked(directions: Sequence[Direction], source: Sequence[str]):
-    """``directions`` by their factors, and the :func:`_plan` of the
-    columns they read in a source with columns ``source``.  Raises
-    ``ValueError`` unless they are non-empty and include unity, and
-    :class:`ColumnNotFoundError` as :func:`_plan` does."""
-    keyed = {d.factors: d for d in directions}
-    if not keyed:
-        raise ValueError("directions must be non-empty")
-    if () not in keyed:
-        raise ValueError("directions must include unity")
-    return keyed, _plan(tuple(keyed), tuple(source))
+    return _of_pairs(directions, total)
 
 
 def _add(total, part):
@@ -394,14 +383,21 @@ def _block_vertices(values: np.ndarray, factors):
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(keys, source):
-    """Which columns of a source with columns ``source`` the factor tuples
-    ``keys`` read: their rows there (a slice, which indexes a view, when
-    they are evenly spaced), their number, and each key as positions
-    among them.  The columns keep the source's order, so that any one or
-    two of them make a slice.  Raises :class:`ColumnNotFoundError` for the
-    first column, in order of use, that ``source`` lacks."""
-    used = dict.fromkeys(itertools.chain(*keys))
+def _plan(directions: tuple[Direction, ...], source: tuple[str, ...]):
+    """How a fold over ``directions`` reads a source with columns
+    ``source``: the directions without repeats, the rows of the columns
+    they read (a slice, which indexes a view, when evenly spaced), their
+    number, and each direction's factors as positions among them.  The
+    columns keep the source's order, so that any one or two of them make
+    a slice.  Raises ``ValueError`` unless the directions are non-empty
+    and include unity, then :class:`ColumnNotFoundError` for the first
+    column, in order of use, that ``source`` lacks."""
+    directions = tuple(dict.fromkeys(directions))
+    if not directions:
+        raise ValueError("directions must be non-empty")
+    if UNITY not in directions:
+        raise ValueError("directions must include unity")
+    used = dict.fromkeys(itertools.chain(*(d.factors for d in directions)))
     for name in used:
         if name not in source:
             raise ColumnNotFoundError(name)
@@ -410,7 +406,8 @@ def _plan(keys, source):
     step = index[1] - index[0] if len(index) > 1 else 1
     run = range(index[0], index[-1] + 1, step) if index else range(0)
     rows = slice(run.start, run.stop, run.step) if index == list(run) else index
-    return rows, len(index), tuple(tuple(map(names.index, key)) for key in keys)
+    return (directions, rows, len(index),
+            tuple(tuple(map(names.index, d.factors)) for d in directions))
 
 
 @functools.lru_cache(maxsize=256)

@@ -134,11 +134,10 @@ def simulate_convergence(seed: int, n: int, mu: float, sigma: float,
 
 
 def _mean(values: list[float]) -> float:
-    """The exact mean of ``values``, rounded once: finite however far
-    their sum leaves the float range, and not finite if a value is not."""
+    """The exact mean of ``values``, rounded once, by the mean operator
+    over a dataset of them: finite however far their sum leaves the float
+    range, and not finite if a value is not."""
     if not all(map(math.isfinite, values)):
         return sum(values)
-    # Each float is n / d, d a power of two, so the largest d divides all.
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    return sum(n * (den // d) for n, d in ratios) / (den * len(values))
+    return mean_operator(Dataset({"d": values}),
+                         MeanRequest((UNITY, UNITY), Direction("d")))

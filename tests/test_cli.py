@@ -567,6 +567,26 @@ class TestMeans:
         if fmt == "text":
             assert "standard[\u00e9] = 2.0\n".encode("utf-8") in default.stdout
 
+    @pytest.mark.parametrize("command", ["rotate", "means"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_text_only_stdout_takes_the_report_decoded(
+            self, capsysbinary, monkeypatch, tmp_path, command, fmt):
+        # A stream without a binary buffer, as under
+        # contextlib.redirect_stdout(io.StringIO()), takes the report's
+        # UTF-8 bytes decoded.
+        path = tmp_path / "u.csv"
+        path.write_text("\u00e9,y\n1,2\n2,3\n3,5\n", encoding="utf-8")
+        argv = [command, "--input", str(path), "--columns", "\u00e9,y",
+                "--format", fmt]
+        assert main(argv) == 0
+        expected = capsysbinary.readouterr().out
+        text = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", text)
+        assert main(argv) == 0
+        assert text.getvalue() == expected.decode("utf-8")
+        if fmt == "text":
+            assert "\u00e9" in text.getvalue()
+
 
 class TestContract:
     def test_byte_identical_reruns(self, capsys, d1_path):

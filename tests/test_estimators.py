@@ -138,9 +138,8 @@ class TestThreeRegressorFits:
 class TestSingularSystems:
     def test_identical_columns_implicit(self):
         data = Dataset({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
-        with pytest.raises(SingularSystemError) as excinfo:
+        with pytest.raises(SingularSystemError):
             fit(data, spec(UNITY, X, Y))
-        assert excinfo.value.determinant == 0.0
 
     def test_identical_columns_explicit_is_fine(self):
         data = Dataset({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
@@ -156,9 +155,8 @@ class TestSingularSystems:
     def test_collinear_three_regressors(self):
         data = Dataset({"x": [1.0, 2.0, 3.0], "y": [2.0, 3.0, 5.0],
                         "z": [1.0, 1.0, 2.0]})  # z = y - x
-        with pytest.raises(SingularSystemError) as excinfo:
+        with pytest.raises(SingularSystemError):
             fit(data, spec(UNITY, X, Y, Z))
-        assert excinfo.value.determinant == 0.0
 
     def test_near_singular_consistent_system_flagged(self):
         # y is x plus a 1e-7 bump on one row; the implicit system is almost
@@ -270,11 +268,20 @@ class TestSharedLattice:
             for model in SHARED_SPECS:
                 result = solve(lat, model)
                 assert_same_fit(result, fit(data, model), data)
+                assert solve(data, model) == fit(data, model)
                 exact = ExactData({c: data.column(c) for c in data.names})
                 regs = [d.factors for d in model.regressors]
                 assert result.sse == rounded(exact.sse(
                     model.response.factors, regs,
                     exact.solve(model.response.factors, regs)))
+
+    def test_solve_over_a_dataset(self):
+        data = Dataset({"x": [1.0, 2.0, 4.0], "y": [1.0, 3.0, 2.0]})
+        line = spec(Y, UNITY, X)
+        assert solve(data, line) == fit(data, line)
+        assert solve(data, line).coefficients == (1.5, 3 / 14)
+        with pytest.raises(ColumnNotFoundError, match="'z'"):
+            solve(data, spec(Z, UNITY, X))
 
     def test_sse_is_the_exact_minimum_rounded_once(self, d1):
         # 1 = x + y + x*y fits d1 exactly; its SSE is 0, not the SSE of

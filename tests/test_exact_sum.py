@@ -493,9 +493,8 @@ class TestExactLattice:
     def test_collinear_is_singular(self):
         x = np.random.default_rng(3).normal(size=50)
         data = Dataset({"x": x, "y": 2.0 * x})   # exactly 2x: no rounding
-        with pytest.raises(SingularSystemError) as info:
+        with pytest.raises(SingularSystemError):
             solve(build_lattice(data, [UNITY, X, Y]), ModelSpec(UNITY, (X, Y)))
-        assert info.value.determinant == 0.0
 
     def test_rounded_multiple_is_fit(self):
         # 3x rounded per row is no longer collinear with x: the exact

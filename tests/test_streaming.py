@@ -117,11 +117,12 @@ class TestFold:
 
         source = np.array([columns[name] for name in "xyz"])
 
-        def blocks(rows, width):
-            return (source[rows, start:end].reshape(width, end - start)
-                    for start, end in zip(cuts, cuts[1:]))
+        plan = lattice._plan(tuple(directions), tuple("xyz"))
+        _, rows, width, _ = plan
+        blocks = (source[rows, start:end].reshape(width, end - start)
+                  for start, end in zip(cuts, cuts[1:]))
 
-        folded = lattice._fold(directions, "xyz", blocks)
+        folded = lattice._fold(plan, blocks)
         assert exact_vertices(folded) == expected
         assert rounded_vertices(folded) == rounded_vertices(whole)
 
@@ -432,6 +433,32 @@ class TestSplitRead:
             assert lattice_outcome(lambda: read_lattice(
                 path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
         assert fork.call_count == 1 and serial.call_count == 1
+
+    def test_a_refused_fork_is_read_serially(self, tmp_path):
+        # The host refuses the fork: both ends of the worker's pipe are
+        # closed, and the file is read serially to the same lattice.
+        path = tmp_path / "data.csv"
+        write_rows(path, 400)
+        with usable_cpus(2):
+            expected = lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS))
+        pipes, real_pipe = [], os.pipe
+
+        def pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        refused = OSError(11, "Resource temporarily unavailable")
+        with usable_cpus(2) as (fork, serial), \
+                mock.patch.object(dataio.os, "pipe", pipe), \
+                mock.patch.object(dataio.os, "fork", side_effect=refused):
+            assert lattice_outcome(lambda: read_lattice(
+                path, ("x", "y"), SPLIT_DIRECTIONS)) == expected
+        assert fork.call_count == 1 and serial.call_count == 1
+        assert len(pipes) == 1
+        for end in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(end)
 
     @pytest.mark.parametrize("where", ["header", "middle", "last"])
     def test_quoted_file_is_read_serially(self, tmp_path, where):
