@@ -144,19 +144,13 @@ def _cmd_measures(args) -> int:
 def _cmd_means(args) -> int:
     columns = _split_columns(args.columns, 1, 3)
     lat = _load(args, columns, [UNITY, *map(Direction, columns)])
-    standard = {c: standard_mean(lat, c) for c in columns}
-    self_weighting = {c: self_weighting_mean(lat, c) for c in columns}
-    random_weighted: dict[str, dict[str, float]] = {}
-    for target in columns:
-        for weight in columns:
-            if weight == target:
-                continue
-            random_weighted.setdefault(target, {})[weight] = weighted_mean(
-                lat, target, weight)
     _emit(render({"means": {
-        "standard": standard,
-        "self_weighting": self_weighting,
-        "randomly_weighted": random_weighted,
+        "standard": {c: standard_mean(lat, c) for c in columns},
+        "self_weighting": {c: self_weighting_mean(lat, c) for c in columns},
+        "randomly_weighted": {
+            target: {w: weighted_mean(lat, target, w)
+                     for w in columns if w != target}
+            for target in columns if len(columns) > 1},
     }}, args.format))
     return EXIT_OK
 
@@ -176,7 +170,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_rotate(args) -> int:
     columns = _split_columns(args.columns, 2, 3)
-    directions = [UNITY] + [Direction(c) for c in columns]
+    directions = [UNITY, *map(Direction, columns)]
     lat = _load(args, columns, directions)
     rotations = fit_all_rotations(lat, directions)
     measures = measure_catalog(lat, columns)

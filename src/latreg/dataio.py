@@ -413,13 +413,13 @@ def _data(stream: IO[str], n_fields: int, usecols: list[int],
         if '"' in text:
             # A quoted field may run past this chunk, so the per-cell
             # reader takes the rest of the stream.
-            blocks = _parse_cells(_lines(chain([text], chunks)), n_fields,
-                                  usecols, names, row - 1)
+            blocks = _parse_cells(chain([text], chunks), n_fields, usecols,
+                                  names, row - 1)
         else:
             block = _convert_chunk(text, n_fields, usecols)
             blocks = ([block] if block is not None else
-                      _parse_cells(_lines([text]), n_fields, usecols,
-                                   names, row - 1))
+                      _parse_cells([text], n_fields, usecols, names,
+                                   row - 1))
         for block in blocks:
             if len(block):
                 yield block
@@ -434,13 +434,6 @@ def _chunks(stream: IO[str]) -> Iterator[str]:
         if text[-1] not in "\r\n":
             text += stream.readline()
         yield text
-
-
-def _lines(chunks: Iterable[str]) -> Iterator[str]:
-    """The lines of chunks of CSV text, split as ``csv`` splits them: at
-    LF, CRLF and CR."""
-    for text in chunks:
-        yield from io.StringIO(text, newline="")
 
 
 def _convert_chunk(text: str, n_fields: int,
@@ -492,17 +485,19 @@ def _convert_chunk(text: str, n_fields: int,
     return block
 
 
-def _parse_cells(lines: Iterable[str], n_fields: int, usecols: list[int],
+def _parse_cells(chunks: Iterable[str], n_fields: int, usecols: list[int],
                  names: Sequence[str],
                  row_offset: int) -> Iterator[np.ndarray]:
-    """The selected cells of CSV lines, read record by record with the
-    ``csv`` module and converted one ``float()`` at a time, as (n, k)
+    """The selected cells of chunks of CSV text, split into lines as
+    ``csv`` splits them (at LF, CRLF and CR), read record by record with
+    the ``csv`` module and converted one ``float()`` at a time, as (n, k)
     blocks of at most ``_CELL_ROWS`` rows.  Data rows are numbered from
     ``row_offset + 1`` in errors."""
     values: list[float] = []
     row_number = block_start = row_offset
     try:
-        for row in csv.reader(lines):
+        for row in csv.reader(chain.from_iterable(
+                io.StringIO(text, newline="") for text in chunks)):
             if not row:
                 continue  # blank line
             row_number += 1

@@ -14,7 +14,8 @@ implicit); each right-side term becomes one regressor direction, with
 may stand alone as a term (an explicit intercept) but not inside a
 product, where it would silently collapse.  Syntax errors raise
 :class:`~latreg.errors.FormulaError` carrying the 0-based offset of the
-offending character.
+offending character.  The whole text is split into tokens before any
+is parsed, so a character that starts no token is the error reported.
 """
 
 from __future__ import annotations
@@ -32,91 +33,6 @@ _TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[=+*])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise FormulaError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        value = m.group(kind)  # type: ignore[arg-type]
-        tokens.append((kind, value, m.start(kind)))  # type: ignore[arg-type]
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is not None:
-            self.index += 1
-        return tok
-
-    def fail(self, message: str, token=None):
-        position = token[2] if token is not None else len(self.text)
-        raise FormulaError(message, position)
-
-    def factor(self, allow_unity: bool) -> Direction | None:
-        tok = self.take()
-        if tok is None:
-            self.fail("expected a column name or 1")
-        kind, value, _ = tok
-        if kind == "name":
-            return Direction(value)
-        if kind == "number":
-            if value != "1":
-                self.fail(f"only the constant 1 is allowed, not {value!r}", tok)
-            if not allow_unity:
-                self.fail("the constant 1 may not appear inside a product", tok)
-            return None  # unity
-        self.fail(f"expected a column name or 1, got {value!r}", tok)
-
-    def term(self) -> Direction:
-        first_tok = self.peek()
-        first = self.factor(allow_unity=True)
-        factors = [] if first is None else list(first.factors)
-        saw_unity = first is None
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                break
-            self.take()
-            if saw_unity:
-                self.fail("the constant 1 may not appear inside a product", first_tok)
-            factors.extend(self.factor(allow_unity=False).factors)
-        return Direction(*factors) if factors else UNITY
-
-    def parse(self) -> ModelSpec:
-        lhs = self.factor(allow_unity=True)
-        response = UNITY if lhs is None else lhs
-        eq = self.take()
-        if eq is None or eq[0] != "op" or eq[1] != "=":
-            self.fail("expected '=' after the response", eq)
-        terms = [self.term()]
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] == "+":
-                self.take()
-                terms.append(self.term())
-            else:
-                self.fail(f"expected '+' or end of expression, got {tok[1]!r}", tok)
-        return ModelSpec(response=response, regressors=tuple(terms))
-
-
 def parse_model(text: str) -> ModelSpec:
     """Parse an equation like ``"y = 1 + x"`` or ``"1 = x + y + x*y"``.
 
@@ -124,4 +40,50 @@ def parse_model(text: str) -> ModelSpec:
     plain :class:`ValueError` on semantic ones (duplicate regressors,
     response repeated on the right side).
     """
-    return _Parser(text).parse()
+    tokens, pos = [], 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise FormulaError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    # The end token is never a factor, so the token after a factor exists.
+    tokens.append(("end", "", len(text)))
+
+    def factor(kind: str, value: str, at: int,
+               in_product: bool = False) -> Direction:
+        if kind == "name":
+            return Direction(value)
+        if kind != "number":
+            got = f", got {value!r}" if kind == "op" else ""
+            raise FormulaError(f"expected a column name or 1{got}", at)
+        if value != "1":
+            raise FormulaError(f"only the constant 1 is allowed, not {value!r}", at)
+        if in_product:
+            raise FormulaError("the constant 1 may not appear inside a product", at)
+        return UNITY
+
+    response = factor(*tokens[0])
+    if tokens[1][1] != "=":
+        raise FormulaError("expected '=' after the response", tokens[1][2])
+    regressors, i = [], 2
+    while True:
+        term, start = factor(*tokens[i]), tokens[i][2]
+        i += 1
+        while tokens[i][1] == "*":
+            if term.is_unity:
+                raise FormulaError(
+                    "the constant 1 may not appear inside a product", start)
+            term *= factor(*tokens[i + 1], in_product=True)
+            i += 2
+        regressors.append(term)
+        kind, value, at = tokens[i]
+        if kind == "end":
+            return ModelSpec(response=response, regressors=tuple(regressors))
+        if value != "+":
+            raise FormulaError(
+                f"expected '+' or end of expression, got {value!r}", at)
+        i += 1

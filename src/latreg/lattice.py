@@ -471,16 +471,14 @@ def lattice_over(source: Dataset | Lattice,
 
 
 def join(lat: Lattice, pairs: Sequence[tuple[Direction, Direction]]) -> float:
-    """Product of two or three cached vertex values, each a 1x1
-    :func:`minor`, rounded once: ``join(lat, [(a, b), (c, d)])`` is
-    V(a,b) V(c,d), and a third pair gives the three-vertex join of the
-    3x3 determinants."""
+    """Product of two or three cached vertex values, rounded once:
+    ``join(lat, [(a, b), (c, d)])`` is V(a,b) V(c,d), and a third pair
+    gives the three-vertex join of the 3x3 determinants."""
     if len(pairs) not in (2, 3):
         raise ValueError(f"join takes 2 or 3 vertex pairs, got {len(pairs)}")
-    m, at, exp = _positions(lat, [d for pair in pairs for d in pair])
-    return rounded(math.prod(minor(m, (r,), (c,))
-                             for r, c in zip(at[0::2], at[1::2])), exp,
-                   "join {}", " ".join(f"V({a.label}, {b.label})" for a, b in pairs))
+    return rounded(math.prod(lat.exact(a, b) for a, b in pairs),
+                   len(pairs) * lat.scale, "join {}",
+                   " ".join(f"V({a.label}, {b.label})" for a, b in pairs))
 
 
 def det2(lat: Lattice, a: Direction, b: Direction,
@@ -521,15 +519,6 @@ def cofactor(m: Sequence[Sequence[int]], i: int, j: int) -> int:
     rest = _ALL_BUT[len(m)]
     value = minor(m, rest[i], rest[j])
     return -value if (i + j) % 2 else value
-
-
-def _positions(lat: Lattice, subscripts: Sequence[Direction]):
-    """The lattice's matrix over the directions of ``subscripts``, the
-    position of each subscript in it, and the exponent of an r x r minor
-    or an r-vertex join on them, r the number of (row, column) pairs."""
-    dirs = list(dict.fromkeys(subscripts))
-    return (lat.matrix(dirs), list(map(dirs.index, subscripts)),
-            len(subscripts) // 2 * lat.scale)
 
 
 def _label(subscripts: Sequence[Direction]) -> str:
@@ -627,8 +616,10 @@ def scaled_sigma(lat: Lattice, kind: DeterminantKind) -> float:
 def _kind_det(lat: Lattice, kind: DeterminantKind) -> tuple[int, int]:
     """The determinant of ``kind`` as ``(integer, exponent)``: an r x r
     :func:`minor` of the lattice's matrix, which carries 2^(r scale)."""
-    m, at, exp = _positions(lat, kind.subscripts)
-    return minor(m, at[0::2], at[1::2]), exp
+    dirs = list(dict.fromkeys(kind.subscripts))
+    at = list(map(dirs.index, kind.subscripts))
+    return (minor(lat.matrix(dirs), at[0::2], at[1::2]),
+            len(at) // 2 * lat.scale)
 
 
 def measure_catalog(source: Dataset | Lattice,
@@ -647,6 +638,8 @@ def measure_catalog(source: Dataset | Lattice,
     ``ValueError`` is raised when two entries would share one, as for a
     column named 1.
     """
+    if isinstance(columns, str):
+        raise TypeError(f"columns must be a sequence, not the str {columns!r}")
     if len(columns) not in (2, 3):
         raise ValueError("measure catalog requires 2 or 3 columns")
     if len(set(columns)) != len(columns):

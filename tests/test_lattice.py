@@ -28,6 +28,14 @@ class TestDirection:
     def test_unity_properties(self):
         assert UNITY.is_unity
         assert UNITY.level == 0
+
+    @pytest.mark.parametrize("direction", [UNITY, X, Direction("y", "x", "x")],
+                             ids=["unity", "column", "product"])
+    def test_repr_evaluates_to_the_direction(self, direction):
+        assert eval(repr(direction)) == direction
+
+    def test_dataset_repr(self, d1):
+        assert repr(d1) == "Dataset(n=3, columns=['x', 'y'])"
         assert UNITY.label == "1"
 
     def test_product_and_powers(self):
@@ -435,6 +443,18 @@ class TestMeasureCatalog:
         catalog = measure_catalog(data, ["x", "y"])
         for key in ("delta_11xx", "delta_11yy", "delta_11xy", "delta_xxyy"):
             assert catalog[key] == 0.0
+
+    def test_str_columns_refused_before_any_lattice(self, monkeypatch):
+        # A str is a sequence of one-letter columns, but here a column
+        # named "xy" exists, so the str is refused, as read_csv does.
+        data = Dataset({"xy": [1.0, 2.0, 4.0], "x": [1.0, 3.0, 2.0],
+                        "y": [2.0, 2.0, 5.0]})
+        monkeypatch.setattr(latreg.lattice, "build_lattice",
+                            lambda *args: pytest.fail("a lattice was built"))
+        with pytest.raises(TypeError) as excinfo:
+            measure_catalog(data, "xy")
+        assert str(excinfo.value) == ("columns must be a sequence, "
+                                      "not the str 'xy'")
 
     def test_column_count_enforced(self, d1):
         with pytest.raises(ValueError):
