@@ -8,9 +8,12 @@
 # so the path is read serially after the fork.
 #
 # Usage: bash .github/split-read-check.sh  (from any directory; the CSV
-# files and reports are written to the current one)
+# files and reports are written to a temporary directory, removed on exit)
 set -eu
 export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
 python -c "
 import numpy as np
 rows = np.random.default_rng(7).normal(3.0, 2.0, size=(150_000, 3))

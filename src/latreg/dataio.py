@@ -45,9 +45,9 @@ file is cut into two byte ranges just after the first ``\n`` at or past
 its middle.  The parent forks one worker for the second range; it folds
 that range through the readers above, writes its partial lattice to a
 pipe and leaves with ``os._exit``.  The parent reads the header and
-folds the first range meanwhile, then adds the two partial lattices by
-the shift and add with which the lattice sums its blocks.  The path is
-opened once, and the ranges are read at their offsets, so a file read
+folds the first range meanwhile, then adds the two partial lattices as
+the fold adds its blocks, by one shift and one add per vertex.  The path
+is opened once, and the ranges are read at their offsets, so a file read
 serially after all is read from the same open file.  The file is read
 serially where it is stdin or another stream or no regular file (a
 named pipe), holds a ``"`` anywhere (a quoted field may span the cut;
@@ -90,7 +90,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError, EmptyDataError, NonFiniteResultError
+from .errors import CsvFormatError, NonFiniteResultError
 from .estimators import RotationResult
 from .lattice import (Dataset, Direction, Lattice, _plan, _sum,
                       lattice_of_rows)
@@ -183,20 +183,18 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
     same errors; the lattice is the same, exactly.  ``directions`` must
     be non-empty, include unity and read only columns in ``names`` (else
     ``ValueError`` or :class:`~latreg.errors.ColumnNotFoundError`, before
-    any input is read).
+    ``source`` is opened or read).
     """
     names = _selection(names)
-    with ExitStack() as stack:
+    _plan(tuple(directions), names)  # raises before the source is opened
+    # A path is opened once: a named pipe's data is gone once its reader
+    # closes it, and the path may be replaced meanwhile.
+    with _text(source) as stream:
         if isinstance(source, (str, Path)):
-            # The path is opened once: a named pipe's data is gone once
-            # its reader closes it, and the path may be replaced meanwhile.
-            source = stack.enter_context(open(source, "rb"))
-            _plan(tuple(directions), names)  # before a worker is forked
-            lattice = _read_ranges(source.fileno(), names, directions)
+            lattice = _read_ranges(stream.buffer.fileno(), names, directions)
             if lattice is not None:
                 return lattice
-        with _text(source) as stream:
-            return lattice_of_rows(_blocks(stream, names), names, directions)
+        return lattice_of_rows(_blocks(stream, names), names, directions)
 
 
 def _read_ranges(fd: int, names: tuple[str, ...],
@@ -205,8 +203,10 @@ def _read_ranges(fd: int, names: tuple[str, ...],
     first here and the second by a forked worker, or None where the file
     is to be read serially: where :func:`_cut` gives no cut, or where
     either range fails, so that the serial read gives the error.  A range
-    without rows fails too; the serial read then gives the same lattice,
-    or "data section is empty".  The file is read at offsets only, so its
+    without rows fails too, as "data section is empty"; the serial read
+    then gives the same lattice, or that error for the whole file.  The
+    partial lattices are added by :func:`~latreg.lattice._sum`, as the
+    fold adds its blocks.  The file is read at offsets only, so its
     position stays at the start for that read."""
     cut = _cut(fd)
     if cut is None:
@@ -228,8 +228,8 @@ def _read_ranges(fd: int, names: tuple[str, ...],
         os.close(pipe)
         if os.waitstatus_to_exitcode(status):
             return None
-    # EmptyDataError: a range without rows; OSError: a fork the host refused
-    except (CsvFormatError, EmptyDataError, OSError):
+    # OSError: a fork the host refused
+    except (CsvFormatError, OSError):
         return None
     finally:
         # No other code reaps this child: _cut splits only while SIGCHLD
@@ -375,11 +375,9 @@ def _text(source: str | Path | IO[str] | IO[bytes],
 
 def _blocks(stream: IO[str], names: tuple[str, ...]) -> Iterator[np.ndarray]:
     """The named columns of the data rows after the header, as (r, k)
-    float64 blocks in row order.  The header is read with :mod:`csv`.  No
-    data rows raise "data section is empty", as when a byte range without
-    rows fails and the file is read serially."""
-    if not (yield from _data(stream, *_header(stream, names), names)):
-        raise CsvFormatError("data section is empty")
+    float64 blocks in row order: the serial read.  The header is read with
+    :mod:`csv`, the rest by :func:`_data`."""
+    yield from _data(stream, *_header(stream, names), names)
 
 
 def _header(stream: IO[str], names: tuple[str, ...]) -> tuple[int, list[int]]:
@@ -404,9 +402,9 @@ def _header(stream: IO[str], names: tuple[str, ...]) -> tuple[int, list[int]]:
 def _data(stream: IO[str], n_fields: int, usecols: list[int],
           names: tuple[str, ...]) -> Iterator[np.ndarray]:
     """The selected columns of the data lines that make up the rest of
-    ``stream``, as (r, k) float64 blocks in row order; returns the number
-    of rows, which may be 0.  A byte range that gives none fails its fold,
-    and the file is then read serially."""
+    ``stream``, as (r, k) float64 blocks in row order.  No rows raise
+    "data section is empty": of a stream, the error of the whole input;
+    of a byte range, a failure that sends the file to the serial read."""
     row = 1
     chunks = _chunks(stream)
     for text in chunks:
@@ -424,7 +422,8 @@ def _data(stream: IO[str], n_fields: int, usecols: list[int],
             if len(block):
                 yield block
                 row += len(block)
-    return row - 1
+    if row == 1:
+        raise CsvFormatError("data section is empty")
 
 
 def _chunks(stream: IO[str]) -> Iterator[str]:

@@ -245,9 +245,9 @@ def build_lattice(data: Dataset, directions: Sequence[Direction]) -> Lattice:
     of the block's smallest nonzero magnitude.  Those integers are split
     into limbs, a product direction's limbs are multiplied out from its
     factors', and one matrix product sums every pair of limbs over the
-    block.  The block's vertices go into Python integers at the lowest
-    scale any block needed.  A missing column raises
-    :class:`ColumnNotFoundError`.
+    block.  Each block's vertices make one exact :class:`Lattice`, and
+    :func:`_sum` adds the blocks' lattices at the lowest scale any block
+    needed.  A missing column raises :class:`ColumnNotFoundError`.
     """
     plan = _plan(tuple(directions), data.names)
     rows = plan[1]
@@ -290,54 +290,38 @@ def _fold(plan, blocks: Iterable[np.ndarray]) -> Lattice:
     """The exact lattice of ``blocks`` by ``plan``, a :func:`_plan`: each
     block a (width, r) array of the plan's rows of a source, r at most
     ``_BLOCK_ROWS``, and the blocks together hold every data row once.
+    Each block's lattice is added to the running total by :func:`_sum`.
     No block raises :class:`EmptyDataError`."""
-    directions, _, _, factors = plan
     total = None
     for block in blocks:
-        part = _block_vertices(block, factors)
-        total = part if total is None else _add(total, part)
+        part = _block_vertices(block, plan)
+        total = part if total is None else _sum(total, part)
     if total is None:
         raise EmptyDataError("dataset has no rows")
-    return _of_pairs(directions, total)
-
-
-def _add(total, part):
-    """The exact sum of two partial lattices, each ``(sums, scale)``: per
-    pair (i, j) of directions the integer V(i, j) / 2^scale, and that
-    scale.  The sum is at the lower scale, so it is one shift and one add
-    per pair."""
-    (sums, low), (ups, high) = sorted((total, part), key=operator.itemgetter(1))
-    return [v + (u << high - low) for v, u in zip(sums, ups)], low
+    return total
 
 
 def _sum(a: Lattice, b: Lattice) -> Lattice:
     """The lattice of the rows of ``a`` and ``b``, both over the same
-    directions in the same order, exactly: vertices are sums over rows."""
-    pairs = _pairs(len(a.directions))
-
-    def part(lat):
-        return [lat._vertices[i][j] for i, j in pairs], lat.scale
-
-    return _of_pairs(a.directions, _add(part(a), part(b)))
-
-
-def _of_pairs(directions, total) -> Lattice:
-    """The lattice whose ``(sums, scale)`` are ``total``, a sum per pair."""
-    sums, scale = total
-    vertices = [[0] * len(directions) for _ in directions]
-    for v, (i, j) in zip(sums, _pairs(len(directions))):
-        vertices[i][j] = vertices[j][i] = v
-    return Lattice(directions, vertices, scale)
+    directions in the same order, exactly: vertices are sums over rows.
+    The sum is at the lower of the two scales, so it is one shift and one
+    add per vertex."""
+    low, high = sorted((a, b), key=operator.attrgetter("scale"))
+    shift = high.scale - low.scale
+    return Lattice(a.directions,
+                   [[v + (u << shift) for v, u in zip(row, ups)]
+                    for row, ups in zip(low._vertices, high._vertices)],
+                   low.scale)
 
 
-def _block_vertices(values: np.ndarray, factors):
-    """For one block of column values (a row per column) and each
-    direction's factors as row numbers: per pair (i, j) of directions in
-    :func:`_pairs` order the integer V(i, j) / 2^scale, and the block's
-    scale.  Column c's values are integer multiples of 2^e_c, so a
-    direction d's are multiples of 2^e_d, e_d the sum of its factors' e_c
-    (0 for unity), and V(i, j) of 2^(e_i + e_j); the scale is twice the
-    lowest e_d, so every pair's integer is its sum shifted left."""
+def _block_vertices(values: np.ndarray, plan) -> Lattice:
+    """The exact lattice of one block of column values (a row per column
+    the :func:`_plan` ``plan`` reads), over the plan's directions.  Column
+    c's values are integer multiples of 2^e_c, so a direction d's are
+    multiples of 2^e_d, e_d the sum of its factors' e_c (0 for unity), and
+    V(i, j) of 2^(e_i + e_j); the scale is twice the lowest e_d, so every
+    vertex's integer is its limb sum shifted left."""
+    directions, _, _, factors = plan
     magnitude = np.abs(values)
     lows = magnitude.min(axis=1).tolist()
     if 0.0 in lows:
@@ -378,8 +362,10 @@ def _block_vertices(values: np.ndarray, factors):
     up = [sum(map(exps.__getitem__, f)) for f in factors]
     low = min(up)
     up = [e - low for e in up]
-    return ([running[b] - running[a] << up[i] + up[j]
-             for a, b, (i, j) in zip(ends, ends[1:], _pairs(len(factors)))], 2 * low)
+    vertices = [[0] * len(factors) for _ in factors]
+    for a, b, (i, j) in zip(ends, ends[1:], _pairs(len(factors))):
+        vertices[i][j] = vertices[j][i] = running[b] - running[a] << up[i] + up[j]
+    return Lattice(directions, vertices, 2 * low)
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,6 +11,7 @@ serial read's exact lattice and errors, and check that no worker
 outlives it.
 """
 
+import functools
 import io
 import os
 import signal
@@ -125,6 +126,20 @@ class TestFold:
         folded = lattice._fold(plan, blocks)
         assert exact_vertices(folded) == expected
         assert rounded_vertices(folded) == rounded_vertices(whole)
+
+        # The parts' lattices add up exactly in any order and grouping, at
+        # the lowest scale among them.
+        parts = [build_lattice(Dataset({name: column[start:end]
+                                        for name, column in columns.items()}),
+                               directions)
+                 for start, end in zip(cuts, cuts[1:])]
+        order = data.draw(st.permutations(parts))
+        left = functools.reduce(lattice._sum, order)
+        right = functools.reduce(lambda total, part: lattice._sum(part, total),
+                                 reversed(order))
+        for total in (left, right):
+            assert exact_vertices(total) == expected
+            assert total.scale == min(part.scale for part in parts)
 
         # Row chunks of any size, empty ones too, re-cut into blocks.
         cuts = sorted(set(split_points(data.draw, n, 3 * lattice._BLOCK_ROWS))
@@ -509,6 +524,10 @@ class TestSplitRead:
             from_path = error(path)
             assert header.call_count == fork.call_count == 0
             assert from_path == error(io.BytesIO(path.read_bytes()))
+            # Nor is the source opened first: a path that cannot be opened
+            # and a stream without a header fail on the directions too.
+            assert from_path == error(tmp_path / "missing.csv")
+            assert from_path == error(io.BytesIO())
 
     def test_serial_cases_stay_serial(self, tmp_path):
         path = tmp_path / "data.csv"
