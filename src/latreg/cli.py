@@ -5,7 +5,8 @@ Subcommands: ``measures`` (vertices and the determinant family),
 (every rotation of a column set), ``simulate`` (seeded weighted-mean
 convergence check).  Exit codes are a stable contract: 0 success,
 2 usage or model-expression error (including an input file that cannot
-be opened), 3 data error, 4 singular system.
+be opened, a closed stdin or stdout and a request too large to hold),
+3 data error, 4 singular system.
 
 :func:`main` is the in-process API: tests and the benchmark call it many
 times in one process, so it never calls ``gc.freeze()``.  A frozen
@@ -117,6 +118,8 @@ def _split_columns(raw: str, minimum: int, maximum: int) -> list[str]:
 
 
 def _load(args, columns: list[str], directions: list[Direction]) -> Lattice:
+    if args.input == "-" and sys.stdin is None:
+        raise OSError("stdin is closed")
     # stdin is read as bytes, which read_lattice decodes as it decodes a path.
     stdin = getattr(sys.stdin, "buffer", sys.stdin)
     return read_lattice(stdin if args.input == "-" else args.input, columns,
@@ -126,6 +129,8 @@ def _load(args, columns: list[str], directions: list[Direction]) -> Lattice:
 def _emit(payload_bytes: bytes) -> None:
     # A report is UTF-8 whatever the stream's encoding, so its bytes go to
     # the binary buffer; a text-only stream (io.StringIO) takes the text.
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
         sys.stdout.write(payload_bytes.decode("utf-8"))
@@ -205,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     except LatregError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_DATA
-    except (ValueError, OSError) as err:
-        # OSError: an --input path that cannot be opened or read.
+    except (ValueError, OSError, MemoryError) as err:
+        # An --input that cannot be read, a closed stream, too large a request.
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

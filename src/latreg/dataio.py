@@ -34,9 +34,9 @@ conversion might not read the chunk as it would:
   raises the positioned :class:`CsvFormatError` or, if the chunk is
   valid after all, gives the chunk's values.
 
-The per-cell reader also yields blocks of at most :data:`_CELL_ROWS`
-rows, so a quoted file streams in flat memory too.  Both readers accept
-the same input and give the same values bit for bit.
+The per-cell reader yields blocks of the fold's ``_BLOCK_ROWS`` rows,
+so a quoted file streams in flat memory too.  Both readers accept the
+same input and give the same values bit for bit.
 
 :func:`read_lattice` reads a large file on two CPUs, the count that
 was measured.  A vertex is a sum over rows of exact integers, so the
@@ -48,12 +48,12 @@ pipe and leaves with ``os._exit``.  The parent reads the header and
 folds the first range meanwhile, then adds the two partial lattices as
 the fold adds its blocks, by one shift and one add per vertex.  The path
 is opened once, and the ranges are read at their offsets, so a file read
-serially after all is read from the same open file.  The file is read
-serially where it is stdin or another stream or no regular file (a
-named pipe), holds a ``"`` anywhere (a quoted field may span the cut;
-the scan for it reads :data:`_SCAN_BYTES` at a time, so that file pages
-do not swell RSS), is under two ranges of :data:`_RANGE_CHUNKS` chunks,
-where fewer than two CPUs are usable, where the process runs other
+serially after all is read from the same open file.  One scan finds
+the cut and any ``"``, and the ranges end where it ended.  The file is
+read serially where it is stdin or another stream or no regular file (a
+named pipe), holds a ``"`` anywhere (a quoted field may span the cut),
+is under two ranges of :data:`_RANGE_CHUNKS` chunks, where fewer than
+two CPUs are usable, where the process runs other
 threads, or where SIGCHLD is ignored or handled (the worker must stay
 the parent's to reap).  If either range fails, the worker is killed and
 reaped and the file is read again serially, which gives exactly the
@@ -90,9 +90,9 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError, NonFiniteResultError
+from .errors import CsvFormatError, EmptyDataError, NonFiniteResultError
 from .estimators import RotationResult
-from .lattice import (Dataset, Direction, Lattice, _plan, _sum,
+from .lattice import (_BLOCK_ROWS, Dataset, Direction, Lattice, _plan, _sum,
                       lattice_of_rows)
 
 __all__ = [
@@ -104,16 +104,13 @@ __all__ = [
     "REPORT_SCHEMA",
 ]
 
-#: Characters read per chunk of data lines; a chunk runs on to the end
-#: of the line it stops in.  Each chunk is one ``np.loadtxt`` call, and
-#: its text, its lines, its values and one lattice block are all of the
-#: input alive at once.  While a chunk's text is within the ``csv`` field size limit
-#: (131072 by default), none of its lines can exceed it, so at this size
-#: the line lengths are rarely scanned.
+#: Characters per chunk of data lines, and bytes per read of :func:`_cut`;
+#: a chunk runs on to the end of the line it stops in.  Each chunk is one
+#: ``np.loadtxt`` call, and its text, its lines, its values and one lattice
+#: block are all of the input alive at once.  While a chunk's text is
+#: within the ``csv`` field size limit (131072 by default), none of its
+#: lines can exceed it, so at this size the line lengths are rarely scanned.
 _CHUNK_CHARS = 1 << 16
-
-#: Rows in each block the per-cell reader yields.
-_CELL_ROWS = 1 << 12
 
 #: ASCII separators that ``np.loadtxt`` strips around a number but
 #: ``float()`` does not; a chunk holding one goes to the per-cell reader.
@@ -145,6 +142,8 @@ def read_csv(source: str | Path | IO[str] | IO[bytes],
         If ``names`` is a str, whose characters would each name a column.
     ValueError
         If ``names`` repeats a name.
+    EmptyDataError
+        If ``names`` is empty.
     CsvFormatError
         On a name the header lacks or repeats, a ragged row, a cell that
         is not a finite ASCII decimal (reported with its data row and
@@ -199,16 +198,16 @@ def read_lattice(source: str | Path | IO[str] | IO[bytes],
 
 def _read_ranges(fd: int, names: tuple[str, ...],
                  directions: Sequence[Direction]) -> Lattice | None:
-    """The lattice of the file open at ``fd`` read as two byte ranges, the
-    first here and the second by a forked worker, or None where the file
-    is to be read serially: where :func:`_cut` gives no cut, or where
-    either range fails, so that the serial read gives the error.  A range
-    without rows fails too, as "data section is empty"; the serial read
-    then gives the same lattice, or that error for the whole file.  The
-    partial lattices are added by :func:`~latreg.lattice._sum`, as the
-    fold adds its blocks.  The file is read at offsets only, so its
-    position stays at the start for that read."""
-    cut = _cut(fd)
+    """The lattice of the file open at ``fd`` read as two byte ranges cut
+    by :func:`_cut`, the first here and the second, to where its scan
+    ended, by a forked worker; or None where the file is to be read
+    serially: where there is no cut, or where either range fails, so that
+    the serial read gives the error.  A range without rows fails too, as
+    "data section is empty"; the serial read then gives the same lattice,
+    or that error for the whole file.  The partial lattices are added by
+    :func:`~latreg.lattice._sum`.  The file is read at offsets only, so
+    its position stays at the start for that read."""
+    cut, end = _cut(fd)
     if cut is None:
         return None
     worker = None  # (pid, read end of its pipe) until it is reaped
@@ -216,17 +215,15 @@ def _read_ranges(fd: int, names: tuple[str, ...],
         with io.BufferedReader(_Range(fd, 0, cut)) as head, \
                 _text(head) as stream:
             fields = _header(stream, names)
-            worker = _fork(_fold_range, fd, cut, os.fstat(fd).st_size,
-                           fields, names, directions)
+            worker = _fork(fd, cut, end, fields, names, directions)
             first = lattice_of_rows(_data(stream, *fields, names), names,
                                     directions)
         pid, pipe = worker
         with open(pipe, "rb", closefd=False) as reader:
             payload = reader.read()
-        status = os.waitpid(pid, 0)[1]
         worker = None
         os.close(pipe)
-        if os.waitstatus_to_exitcode(status):
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
             return None
     # OSError: a fork the host refused
     except (CsvFormatError, OSError):
@@ -249,37 +246,34 @@ def _read_ranges(fd: int, names: tuple[str, ...],
 #: read on a 1 MB file, broke even at 1.5 MB and gained from 2 MB on.
 _RANGE_CHUNKS = 16
 
-#: Bytes per read of the scan for quotes and the cut.  The scan holds no
-#: more of the file than this at once; an mmap of the file would count
-#: its pages in RSS.
-_SCAN_BYTES = 1 << 16
 
-
-def _cut(fd: int) -> int | None:
-    """The offset just after the first ``\n`` at or past the middle of the
-    regular file open at ``fd``, which cuts it into two byte ranges; or
-    None where the file is read serially.  It is so read unless two CPUs
-    are usable and each range can hold ``_RANGE_CHUNKS`` chunks.  A file
-    holding a ``"`` is read serially, since a quoted field may span the
-    cut; so is any file in a process running other threads, which a fork
-    would not copy, or one whose SIGCHLD is ignored or handled, since the
-    worker must stay the parent's to reap."""
+def _cut(fd: int) -> tuple[int | None, int]:
+    """``(cut, end)``: ``end`` where one scan of the regular file open at
+    ``fd`` stopped, ``cut`` just after the first ``\n`` at or past its
+    middle, or None where the file is read serially.  It is so read
+    unless two CPUs are usable and each range can hold ``_RANGE_CHUNKS``
+    chunks.  A file holding a ``"`` is read serially, since a quoted field
+    may span the cut; so is any file in a process running other threads,
+    which a fork would not copy, or one whose SIGCHLD is ignored or
+    handled, since the worker must stay the parent's to reap."""
     if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
             or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL):
-        return None
+        return None, 0
     info = os.fstat(fd)
     if (len(os.sched_getaffinity(0)) < 2 or not stat.S_ISREG(info.st_mode)
             or info.st_size < 2 * _RANGE_CHUNKS * _CHUNK_CHARS):
-        return None
+        return None, 0
     middle, cut, offset = info.st_size // 2, None, 0
-    while block := os.pread(fd, _SCAN_BYTES, offset):
+    # The scan holds no more of the file than one read at once; an mmap
+    # of the file would count its pages in RSS.
+    while block := os.pread(fd, _CHUNK_CHARS, offset):
         if b'"' in block:
-            return None
+            return None, offset
         if cut is None and offset + len(block) > middle:
-            end = block.find(b"\n", max(middle - offset, 0))
-            cut = offset + end + 1 if end >= 0 else None
+            at = block.find(b"\n", max(middle - offset, 0))
+            cut = offset + at + 1 if at >= 0 else None
         offset += len(block)
-    return cut if cut is not None and cut < offset else None
+    return (cut if cut is not None and cut < offset else None), offset
 
 
 class _Range(io.RawIOBase):
@@ -299,10 +293,10 @@ class _Range(io.RawIOBase):
         return size
 
 
-def _fork(work, *args) -> tuple[int, int]:
-    """A forked worker that writes the bytes ``work(*args)`` gives to a
-    pipe and exits 0, or exits 1 on any error: its pid and the pipe's
-    read end."""
+def _fork(*args) -> tuple[int, int]:
+    """A forked worker that writes the bytes ``_fold_range(*args)`` gives
+    to a pipe and exits 0, or exits 1 on any error: its pid and the
+    pipe's read end."""
     read, write = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -318,14 +312,12 @@ def _fork(work, *args) -> tuple[int, int]:
         os.close(write)
         raise
     if pid == 0:
-        code = 1
         try:
-            payload = memoryview(work(*args))
-            while payload:
-                payload = payload[os.write(write, payload):]
-            code = 0
+            with open(write, "wb") as pipe:
+                pipe.write(_fold_range(*args))
+            os._exit(0)
         finally:
-            os._exit(code)
+            os._exit(1)
     os.close(write)
     return pid, read
 
@@ -345,6 +337,8 @@ def _selection(names: Sequence[str]) -> tuple[str, ...]:
     if isinstance(names, str):
         raise TypeError(f"names must be a sequence, not the str {names!r}")
     names = tuple(names)
+    if not names:
+        raise EmptyDataError("dataset has no columns")
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"column {name!r} is selected more than once")
@@ -490,8 +484,8 @@ def _parse_cells(chunks: Iterable[str], n_fields: int, usecols: list[int],
     """The selected cells of chunks of CSV text, split into lines as
     ``csv`` splits them (at LF, CRLF and CR), read record by record with
     the ``csv`` module and converted one ``float()`` at a time, as (n, k)
-    blocks of at most ``_CELL_ROWS`` rows.  Data rows are numbered from
-    ``row_offset + 1`` in errors."""
+    blocks of at most the fold's ``_BLOCK_ROWS`` rows.  Data rows are
+    numbered from ``row_offset + 1`` in errors."""
     values: list[float] = []
     row_number = block_start = row_offset
     try:
@@ -518,8 +512,8 @@ def _parse_cells(chunks: Iterable[str], n_fields: int, usecols: list[int],
                         f"value {cell!r} is not a finite number",
                         row=row_number, column=name)
                 values.append(value)
-            if row_number - block_start == _CELL_ROWS:
-                yield np.array(values).reshape(_CELL_ROWS, len(usecols))
+            if row_number - block_start == _BLOCK_ROWS:
+                yield np.array(values).reshape(_BLOCK_ROWS, len(usecols))
                 values, block_start = [], row_number
     except csv.Error as err:
         raise CsvFormatError(f"row {row_number + 1}: {err}",

@@ -451,6 +451,10 @@ class TestSimulate:
         assert code == 2
         code, _, _ = run(capsys, "simulate", "--seed", "1", "--trials", "0")
         assert code == 2
+        # numpy refuses the allocation before it touches any memory.
+        code, _, _ = run(capsys, "simulate", "--seed", "1", "--n",
+                         "100000000000000")
+        assert code == 2
 
     @pytest.mark.parametrize("option, value", [
         ("--sigma", "nan"), ("--sigma", "inf"), ("--mu", "inf"),
@@ -616,6 +620,19 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: ")
         assert missing in err
+
+    @pytest.mark.parametrize("stream, redirect", [("stdin", "<&-"),
+                                                  ("stdout", ">&-")])
+    def test_closed_standard_stream_is_a_usage_error(self, d1_path, stream,
+                                                     redirect):
+        # The shell closes the descriptor, so Python sees no stream there.
+        source = "-" if stream == "stdin" else d1_path
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m latreg rotate --input "$1" '
+             f"--columns x,y {redirect}", sys.executable, source],
+            capture_output=True)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == f"error: {stream} is closed\n".encode()
 
     def test_console_entry_point(self, capsysbinary, d1_path):
         result = run_entry(capsysbinary, "rotate", "--input", d1_path,

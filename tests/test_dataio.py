@@ -7,9 +7,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from latreg import (CsvFormatError, Dataset, Direction, NonFiniteResultError,
-                    REPORT_SCHEMA, RotationResult, UNITY, fit_all_rotations,
-                    measure_catalog, read_csv, render, write_csv, write_report)
+from latreg import (CsvFormatError, Dataset, Direction, EmptyDataError,
+                    NonFiniteResultError, REPORT_SCHEMA, RotationResult, UNITY,
+                    fit_all_rotations, measure_catalog, read_csv, read_lattice,
+                    render, write_csv, write_report)
 
 D1_CSV = "x,y\n1,2\n2,3\n3,5\n"
 
@@ -145,6 +146,18 @@ class TestColumnNames:
         # "xy" would otherwise select the columns x and y.
         with pytest.raises(TypeError):
             parse("x,y,xy\n1,2,2\n", "xy")
+
+    @pytest.mark.parametrize("read", [
+        lambda source: read_csv(source, []),
+        lambda source: read_lattice(source, [], [UNITY])],
+        ids=["read_csv", "read_lattice"])
+    def test_empty_selection_refused(self, tmp_path, read):
+        # The error Dataset({}) gives, before the source is opened: a
+        # missing path gives no FileNotFoundError.
+        for source in (io.StringIO(D1_CSV), tmp_path / "absent.csv"):
+            with pytest.raises(EmptyDataError,
+                               match="^dataset has no columns$"):
+                read(source)
 
 
 class TestCsvRoundTrip:

@@ -205,7 +205,7 @@ class TestReadersAgree:
     def test_quoted_input_streams_in_bounded_blocks(self):
         rows = [f'"{i}",{i / 3!r}' for i in range(1000)]
         text = "x,y\n" + "\n".join(rows) + "\n"
-        with mock.patch.object(dataio, "_CELL_ROWS", 64):
+        with mock.patch.object(dataio, "_BLOCK_ROWS", 64):
             stream = io.StringIO(text, newline="")
             blocks = list(dataio._blocks(stream, ("y", "x")))
         assert [len(block) for block in blocks] == [64] * 15 + [40]
@@ -217,7 +217,7 @@ class TestReadersAgree:
         rows = [f'"{i}",{i}' for i in range(300)]
         rows[200] = '"200",oops'
         text = "x,y\n" + "\n".join(rows) + "\n"
-        with mock.patch.object(dataio, "_CELL_ROWS", 64), \
+        with mock.patch.object(dataio, "_BLOCK_ROWS", 64), \
                 pytest.raises(CsvFormatError) as info:
             read_lattice(io.StringIO(text), ["x", "y"], [UNITY, Direction("y")])
         assert (info.value.row, info.value.column) == (201, "y")
@@ -281,7 +281,7 @@ def serial_outcome(raw, names, directions):
 
 def cut_of(path):
     with open(path, "rb") as file:
-        return dataio._cut(file.fileno())
+        return dataio._cut(file.fileno())[0]
 
 
 @st.composite
@@ -387,8 +387,9 @@ class TestSplitRead:
         rows = [f"{i}.5,{i}" for i in range(300)]
         path = tmp_path / "bom.csv"
         path.write_bytes(("x,y\n" + "\n".join(rows) + "\n").encode())
-        with usable_cpus(2):
-            cut = cut_of(path)
+        with usable_cpus(2), open(path, "rb") as file:
+            cut, end = dataio._cut(file.fileno())
+        assert end == path.stat().st_size
         raw = bytearray(path.read_bytes())
         raw[cut:cut + 3] = "\ufeff".encode()
         path.write_bytes(raw)
