@@ -190,19 +190,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _print_formula_error(err: FormulaError, expression: str) -> None:
-    sys.stderr.write(f"error: {err}\n")
-    sys.stderr.write(f"  {expression}\n")
-    sys.stderr.write("  " + " " * err.position + "^\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except FormulaError as err:
-        _print_formula_error(err, getattr(args, "model", ""))
+        sys.stderr.write(f"error: {err}\n  {args.model}\n"
+                         f"  {' ' * err.position}^\n")
         return EXIT_USAGE
     except SingularSystemError as err:
         sys.stderr.write(f"error: {err}\n")
@@ -214,7 +209,3 @@ def main(argv: list[str] | None = None) -> int:
         # An --input that cannot be read, a closed stream, too large a request.
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

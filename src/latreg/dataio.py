@@ -600,10 +600,10 @@ def _rotation_entry(rotation: RotationResult) -> dict:
         result = rotation.fit
         return {
             "response": rotation.response.label,
-            "coefficients": [float(c) for c in result.coefficients],
-            "denominator": float(result.denominator),
-            "numerators": [float(n) for n in result.numerators],
-            "sse": float(result.sse),
+            "coefficients": list(result.coefficients),
+            "denominator": result.denominator,
+            "numerators": list(result.numerators),
+            "sse": result.sse,
             "flag": "well-posed",
         }
     return {

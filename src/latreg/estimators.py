@@ -29,12 +29,11 @@ lattice serves a whole request::
     catalog = measure_catalog(lat, ["x", "y"])
 
 :func:`solve` also takes a dataset, over which it builds the one lattice
-it needs; :func:`fit` is that one-model case.
+it needs; :func:`fit` is another name for it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LatregError, NonFiniteResultError, SingularSystemError
-from .lattice import (Dataset, Direction, Lattice, UNITY, cofactor,
+from .lattice import (Dataset, Direction, Lattice, UNITY, _pairs, cofactor,
                       lattice_over, rounded)
 
 __all__ = [
@@ -160,6 +159,10 @@ def solve(source: Dataset | Lattice, spec: ModelSpec) -> FitResult:
                          0, lat.scale)
 
 
+#: Another name for :func:`solve`.
+fit = solve
+
+
 def _cofactor_fit(spec: ModelSpec, g_row: Sequence[int], row: Sequence[int],
                   r: int, scale: int) -> FitResult:
     """``spec`` from row r of the k x k vertex matrix G over its
@@ -175,12 +178,6 @@ def _cofactor_fit(spec: ModelSpec, g_row: Sequence[int], row: Sequence[int],
     return FitResult(spec, (row[r], exp),
                      tuple((-c, exp) for j, c in enumerate(row) if j != r),
                      (sum(g * c for g, c in zip(g_row, row)), k * scale))
-
-
-def fit(data: Dataset, spec: ModelSpec) -> FitResult:
-    """``solve(data, spec)``: one model over a dataset, where a missing
-    column raises :class:`~latreg.errors.ColumnNotFoundError`."""
-    return solve(data, spec)
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,7 @@ def fit_all_rotations(source: Dataset | Lattice,
     lat = lattice_over(source, dirs)
     g = lat.matrix(dirs)
     cof = [[0] * len(g) for _ in g]
-    for i, j in itertools.combinations_with_replacement(range(len(g)), 2):
+    for i, j in _pairs(len(g)):
         cof[i][j] = cof[j][i] = cofactor(g, i, j)  # G is symmetric
     results = []
     for resp in [d for d in dirs if not d.is_unity] + [UNITY]:

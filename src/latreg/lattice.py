@@ -661,7 +661,7 @@ def _catalog(axes):
         kinds.append(DeterminantKind.form1(*cols))
     at = [tuple(map(axes.index, kind.subscripts)) for kind in kinds]
     kinds = [(_label(kind.subscripts), i[0::2], i[1::2]) for kind, i in zip(kinds, at)]
-    cells = list(itertools.combinations_with_replacement(range(len(axes)), 2))
+    cells = _pairs(len(axes))
     keys = ([f"v_{axes[i].label}{axes[j].label}" for i, j in cells]
             + [f"delta_{key}" for key, _, _ in kinds]
             + [f"sigma_{key}" for key, rows, _ in kinds if len(rows) == 2])

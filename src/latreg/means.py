@@ -1,13 +1,16 @@
 """The vertex-based mean operator and its weighted-mean families.
 
 From a vertex (a, b) in direction d the mean operator is V(a*b, d) /
-V(a, b) = sum(a*b*d) / sum(a*b).  Vertex (1, 1) gives the standard mean
+V(a, b) = sum(a*b*d) / sum(a*b).  In a lattice V(a, b) = V(1, a*b), so
+the random weight of a mean is the one direction a*b, and the operator
+reads V(a*b, d) / V(1, a*b).  Vertex (1, 1) gives the standard mean
 V(1, x) / V(1, 1), vertex (1, x) in direction x the self-weighting mean
 V(x, x) / V(1, x), and vertex (1, w) in direction x the mean of x
 randomly weighted by another measure w, V(w, x) / V(1, w).  The vertices
 come from a :class:`Lattice`, so that a request's means share its one
-data pass, or from one lattice built over a :class:`Dataset`.  Both are
-exact, so a mean is their exact ratio rounded once.
+data pass, or from one lattice over (1, a*b, d) that it builds from a
+:class:`Dataset`.  Both are exact, so a mean is their exact ratio
+rounded once.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ class MeanRequest:
 
 
 def mean_operator(source: Dataset | Lattice, req: MeanRequest) -> float:
-    """Weighted mean V(a*b, d) / V(a, b) for vertex (a, b), target d,
-    read from a lattice that caches both vertices or from one built over
-    a dataset; the exact ratio, rounded once.
+    """Weighted mean V(a*b, d) / V(1, a*b) for vertex (a, b), target d,
+    read from a lattice that caches directions 1, a*b and d or from one
+    built over a dataset; the exact ratio, rounded once.  V(1, a*b) is
+    V(a, b), so only the direction a*b weighs.
 
     Raises :class:`ZeroWeightError` when V(a, b) is exactly 0: for vertex
     (1, w), when the weights sum to exactly 0.  Raises
@@ -51,8 +55,8 @@ def mean_operator(source: Dataset | Lattice, req: MeanRequest) -> float:
     """
     a, b = req.vertex
     ab, d = a * b, req.target
-    lat = lattice_over(source, [UNITY, a, b, ab, d])
-    weight = lat.exact(a, b)
+    lat = lattice_over(source, [UNITY, ab, d])
+    weight = lat.exact(UNITY, ab)
     if weight == 0:
         raise ZeroWeightError(
             f"weight sum over vertex ({a.label}, {b.label}) is zero")
@@ -139,5 +143,4 @@ def _mean(values: list[float]) -> float:
     range, and not finite if a value is not."""
     if not all(map(math.isfinite, values)):
         return sum(values)
-    return mean_operator(Dataset({"d": values}),
-                         MeanRequest((UNITY, UNITY), Direction("d")))
+    return standard_mean(Dataset({"d": values}), "d")

@@ -34,3 +34,7 @@ def test_star_import_binds_exactly_all():
     exec("from latreg import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(latreg.__all__)
+
+
+def test_fit_is_solve():
+    assert latreg.fit is latreg.solve

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latreg.lattice
 from latreg import (Dataset, Direction, MeanRequest, MissingVertexError,
                     NonFiniteResultError, UNITY, ZeroWeightError,
                     build_lattice, mean_operator,
@@ -58,6 +60,19 @@ class TestMeanOperator:
         data = Dataset({"x": [0.0, 0.0], "y": [3.0, 4.0]})
         with pytest.raises(ZeroWeightError):
             mean_operator(data, MeanRequest(vertex=(UNITY, X), target=Y))
+
+    def test_weight_is_the_one_direction_a_b(self, d1):
+        # V(x, y) is read as V(1, x*y): one lattice over (1, x*y, x).
+        with mock.patch.object(latreg.lattice, "build_lattice",
+                               wraps=latreg.lattice.build_lattice) as spy:
+            mean_operator(d1, MeanRequest(vertex=(X, Y), target=X))
+        (_, directions), = [call.args for call in spy.call_args_list]
+        assert set(directions) == {UNITY, X * Y, X}
+
+    def test_lattice_without_the_vertex_factor(self, d1):
+        lat = build_lattice(d1, [UNITY, X * Y, X])
+        req = MeanRequest(vertex=(X, Y), target=X)
+        assert mean_operator(lat, req) == mean_operator(d1, req) == 59 / 23
 
     @pytest.mark.parametrize("lattice", [False, True])
     def test_level_two_vertex_beyond_float_range(self, lattice):
